@@ -6,12 +6,18 @@ Tape is active append a backward closure to that tape; backward() walks
 the tape in reverse and accumulates gradients into every input that
 contributed to the loss.  The tape is an execution record, so it is
 topologically ordered by construction and every operation is visited
-exactly once in each direction.
+exactly once in each direction.  Gradient slots of tensors the tape
+produced (everything but the loss) are released as soon as their
+closure has consumed them, so after backward() only the loss and the
+leaves (parameters, inputs) hold a .grad.
 
 Feature maps are laid out (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
-boundaries.  All reductions use numpy's fixed evaluation order, so a
-forward pass is bitwise deterministic for identical inputs.
+boundaries.  Convolution and max pooling read their windows through a
+strided view of the (padded) input and contract it with tensordot, so
+nothing kh*kw times the size of the input outlives the op.  All
+reductions use numpy's fixed evaluation order, so a forward pass is
+bitwise deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -122,6 +128,13 @@ def backward(tape, loss):
 
     loss must be a scalar tensor produced by this tape; calling backward
     on a tensor the tape never saw is the backward-before-forward error.
+
+    Every other tensor the tape produced has its .grad released (set to
+    None) as soon as its closure has consumed it, so only the loss and
+    tensors from outside the tape (parameters, inputs) end with a
+    gradient.  That frees each intermediate gradient as early as
+    possible, and a second backward() over the same tape adds exactly
+    one more d(loss)/d(input) instead of replaying stale slots.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -131,6 +144,8 @@ def backward(tape, loss):
     for _name, out, fn in reversed(tape._entries):
         if out.grad is not None:
             fn(out.grad)
+            if out is not loss:
+                out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +291,33 @@ def fully_connected(x: Tensor, w: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (im2col) and pooling
+# convolution (strided window views) and pooling
 # ---------------------------------------------------------------------------
 
-def _im2col(x, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j] = img[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1), oh, ow
+def _pad_hw(a, pad, value=0.0):
+    """Pad the two spatial axes by pad on each side; a negative pad crops."""
+    if pad < 0:
+        return a[:, :, -pad:a.shape[2] + pad, -pad:a.shape[3] + pad]
+    if pad == 0:
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
 
 
-def _col2im(dcols, xshape, kh, kw, stride, pad, oh, ow):
-    n, c, h, w = xshape
-    dcols = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dimg = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            dimg[:, :, i:i_max:stride, j:j_max:stride] += dcols[:, :, i, j]
-    return dimg[:, :, pad:pad + h, pad:pad + w] if pad else dimg
+def _windows(img, kh, kw, stride):
+    """(N, C, oh, ow, kh, kw) view of img's kh x kw windows at the given
+    stride.  The view copies nothing; ops that need a contiguous layout
+    (tensordot, reshape) copy it transiently, and no closure keeps it."""
+    view = np.lib.stride_tricks.sliding_window_view(img, (kh, kw), axis=(2, 3))
+    return view[:, :, ::stride, ::stride] if stride > 1 else view
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), kernel (F, C, kh, kw), odd kh=kw."""
+    """2-D convolution (cross-correlation), kernel (F, C, kh, kw), odd kh=kw.
+
+    Each product contracts the kernel (or the output gradient) against a
+    window view.  The backward closure keeps only x and k and pads x
+    again when it runs, so the tape holds no per-layer copy of the input.
+    """
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError(f"conv2d: need 4-D input and kernel, got {x.shape}, {k.shape}")
     n, c, h, w = x.shape
@@ -317,17 +328,32 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: kernel must be square with odd side, got {kh}x{kw}")
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ValueError(f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    kflat = k.data.reshape(f, -1)
-    out_mat = cols @ kflat.T
-    out = Tensor(out_mat.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
+    # contracting the kernel first makes tensordot copy the windows in
+    # (C, kh, kw, N, oh, ow) order, so its innermost loop runs along rows
+    # of the input; the other operand order copies far more slowly
+    win = _windows(_pad_hw(x.data, pad), kh, kw, stride)
+    out = Tensor(np.tensordot(k.data, win, axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3))
 
     def bwd(og):
-        g2 = og.transpose(0, 2, 3, 1).reshape(-1, f)
+        img = _pad_hw(x.data, pad)
         k.ensure_grad()
-        k.grad += (g2.T @ cols).reshape(k.shape)
+        k.grad += np.tensordot(_windows(img, kh, kw, stride), og,
+                               axes=([0, 2, 3], [0, 2, 3])).transpose(3, 0, 1, 2)
         x.ensure_grad()
-        x.grad += _col2im(g2 @ kflat, x.shape, kh, kw, stride, pad, oh, ow)
+        if stride == 1:
+            # dx is og, padded to full size, correlated with the flipped
+            # kernel; padding by kh - 1 - pad lands directly on x's extent
+            ogp = _pad_hw(og, kh - 1 - pad)
+            x.grad += np.tensordot(k.data[:, :, ::-1, ::-1], _windows(ogp, kh, kw, 1),
+                                   axes=([0, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
+            return
+        oh, ow = og.shape[2:]
+        dimg = np.zeros(img.shape, dtype=np.result_type(og, k.data))
+        for i in range(kh):
+            for j in range(kw):
+                dimg[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                    np.tensordot(k.data[:, :, i, j], og, axes=([0], [1])).transpose(1, 0, 2, 3)
+        x.grad += _pad_hw(dimg, -pad)
 
     return _emit("conv2d", out, bwd)
 
@@ -369,19 +395,15 @@ def max_pool2d(x: Tensor, size: int, stride: int, pad: int = 0) -> Tensor:
     n, d, h, w = x.shape
     oh = (h + 2 * pad - size) // stride + 1
     ow = (w + 2 * pad - size) // stride + 1
-    img = np.full((n, d, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
-    img[:, :, pad:pad + h, pad:pad + w] = x.data
-    wins = np.empty((n, d, oh, ow, size * size), dtype=x.dtype)
-    for i in range(size):
-        for j in range(size):
-            wins[:, :, :, :, i * size + j] = img[:, :, i:i + stride * oh:stride,
-                                                 j:j + stride * ow:stride]
+    padded = (n, d, h + 2 * pad, w + 2 * pad)
+    wins = _windows(_pad_hw(x.data, pad, -np.inf), size, size, stride)
+    wins = wins.reshape(n, d, oh, ow, size * size)
     arg = wins.argmax(axis=4)
     out = Tensor(np.take_along_axis(wins, arg[..., None], axis=4)[..., 0])
 
     def bwd(og):
         x.ensure_grad()
-        gimg = np.zeros_like(img)
+        gimg = np.zeros(padded, dtype=x.dtype)
         ii, jj = np.divmod(arg, size)
         on, od, oy, ox = np.indices((n, d, oh, ow))
         np.add.at(gimg, (on, od, oy * stride + ii, ox * stride + jj), og)

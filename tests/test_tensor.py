@@ -1,5 +1,7 @@
 """Tensor engine checks against naive oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,126 @@ def test_conv2d_matches_naive_oracle():
         got = conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad)
         want = naive_conv2d(x, k, stride, pad)
         assert np.allclose(got.data, want, atol=1e-12)
+
+
+def _im2col(x, kh, kw, stride, pad):
+    n, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        i_max = i + stride * oh
+        for j in range(kw):
+            j_max = j + stride * ow
+            cols[:, :, i, j] = img[:, :, i:i_max:stride, j:j_max:stride]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1), oh, ow
+
+
+def _col2im(dcols, xshape, kh, kw, stride, pad, oh, ow):
+    n, c, h, w = xshape
+    dcols = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    dimg = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    for i in range(kh):
+        i_max = i + stride * oh
+        for j in range(kw):
+            j_max = j + stride * ow
+            dimg[:, :, i:i_max:stride, j:j_max:stride] += dcols[:, :, i, j]
+    return dimg[:, :, pad:pad + h, pad:pad + w] if pad else dimg
+
+
+def im2col_conv2d(x, k, stride, pad, og):
+    """The im2col/col2im lowering conv2d used before window views, kept as
+    the oracle: returns (output, d input, d kernel) for output gradient og."""
+    f, _, kh, kw = k.shape
+    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    kflat = k.reshape(f, -1)
+    out = (cols @ kflat.T).reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
+    g2 = og.transpose(0, 2, 3, 1).reshape(-1, f)
+    dk = (g2.T @ cols).reshape(k.shape)
+    dx = _col2im(g2 @ kflat, x.shape, kh, kw, stride, pad, oh, ow)
+    return out, dx, dk
+
+
+def _taped_conv2d(x, k, stride, pad, og):
+    xt, kt = Tensor(x), Tensor(k)
+    with Tape() as tape:
+        out = conv2d(xt, kt, stride=stride, pad=pad)
+        loss = sum_all(mul(out, Tensor(og)))
+    backward(tape, loss)
+    return out.data, xt.grad, kt.grad
+
+
+# (n, c, f, h, w, kernel, stride, pad): stride 1 and 2, pad 0-3 including
+# pad > kernel - 1, kernels 1/3/5, N=1, C=1, F=1, and odd sizes where the
+# last stride-2 window leaves trailing rows or columns uncovered
+CONV_CASES = [
+    (2, 3, 4, 7, 7, 3, 1, 1),
+    (2, 2, 3, 5, 6, 3, 1, 0),
+    (2, 3, 2, 5, 5, 3, 1, 3),
+    (2, 3, 4, 6, 6, 1, 1, 2),
+    (1, 1, 1, 4, 4, 5, 1, 3),
+    (2, 3, 4, 7, 7, 3, 2, 1),
+    (1, 2, 3, 8, 8, 3, 2, 0),
+    (2, 1, 4, 9, 9, 5, 2, 2),
+    (3, 4, 1, 6, 6, 1, 2, 0),
+    (2, 3, 2, 7, 5, 3, 2, 3),
+    (1, 2, 2, 6, 7, 5, 2, 1),
+]
+CONV_IDS = ["n{}c{}f{}-{}x{}-k{}s{}p{}".format(*c) for c in CONV_CASES]
+
+
+def _conv_case(case):
+    n, c, f, h, w, ks, stride, pad = case
+    rng = np.random.default_rng(sum(case))
+    oh = (h + 2 * pad - ks) // stride + 1
+    ow = (w + 2 * pad - ks) // stride + 1
+    return (rng.standard_normal((n, c, h, w)), rng.standard_normal((f, c, ks, ks)),
+            rng.standard_normal((n, f, oh, ow)))
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+def test_conv2d_matches_im2col_oracle(case):
+    stride, pad = case[-2:]
+    x, k, og = _conv_case(case)
+    for got, ref in zip(_taped_conv2d(x, k, stride, pad, og),
+                        im2col_conv2d(x, k, stride, pad, og)):
+        assert got.shape == ref.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+def test_conv2d_float32_matches_im2col_oracle(case):
+    stride, pad = case[-2:]
+    x, k, og = _conv_case(case)
+    got = _taped_conv2d(x.astype(np.float32), k.astype(np.float32), stride, pad,
+                        og.astype(np.float32))
+    for g, ref in zip(got, im2col_conv2d(x, k, stride, pad, og)):
+        assert g.dtype == np.float32
+        assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_conv2d_tape_holds_no_input_copies():
+    # im2col kept a kh*kw-times-the-input matrix per layer (10x the input
+    # here); the tape may hold the output plus at most the padded input
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.standard_normal((32, 16, 32, 32)))
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)))
+    padded_bytes = x.data.nbytes * (34 * 34) // (32 * 32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            conv2d(x, k, stride=1, pad=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * x.data.nbytes
+    (_name, _out, bwd), = tape._entries
+    for cell in bwd.__closure__:
+        value = cell.cell_contents
+        arr = value.data if isinstance(value, Tensor) else value
+        if isinstance(arr, np.ndarray):
+            assert arr.nbytes <= padded_bytes
 
 
 def test_conv2d_rejects_even_or_rectangular_kernels():
@@ -145,6 +267,46 @@ def test_max_pool_matches_loop():
     assert np.allclose(out.data, want)
 
 
+def gather_max_pool2d(x, size, stride, pad):
+    """The hand-written window gather max_pool2d used before window views:
+    returns the pooled map and each window's row-major argmax."""
+    n, d, h, w = x.shape
+    oh = (h + 2 * pad - size) // stride + 1
+    ow = (w + 2 * pad - size) // stride + 1
+    img = np.full((n, d, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
+    img[:, :, pad:pad + h, pad:pad + w] = x
+    wins = np.empty((n, d, oh, ow, size * size), dtype=x.dtype)
+    for i in range(size):
+        for j in range(size):
+            wins[:, :, :, :, i * size + j] = img[:, :, i:i + stride * oh:stride,
+                                                 j:j + stride * ow:stride]
+    arg = wins.argmax(axis=4)
+    return np.take_along_axis(wins, arg[..., None], axis=4)[..., 0], arg
+
+
+@pytest.mark.parametrize("size,stride,pad", [(3, 2, 1), (2, 2, 0), (3, 1, 1), (3, 2, 0)])
+def test_max_pool_bitwise_with_gather_oracle(size, stride, pad):
+    # quantized values make ties common, so the gradient's routing checks
+    # that the first maximum in row-major window order still wins
+    rng = np.random.default_rng(21)
+    x = np.round(rng.standard_normal((2, 3, 9, 9)))
+    x[0, 0] = 0.0
+    x[1, 1, :4, :4] = -0.0
+    want, arg = gather_max_pool2d(x, size, stride, pad)
+    xt = Tensor(x)
+    with Tape() as tape:
+        out = max_pool2d(xt, size, stride, pad)
+        loss = sum_all(out)
+    backward(tape, loss)
+    assert out.data.tobytes() == want.tobytes()
+    n, d, oh, ow = want.shape
+    gimg = np.zeros((n, d, 9 + 2 * pad, 9 + 2 * pad))
+    ii, jj = np.divmod(arg, size)
+    on, od, oy, ox = np.indices((n, d, oh, ow))
+    np.add.at(gimg, (on, od, oy * stride + ii, ox * stride + jj), 1.0)
+    assert xt.grad.tobytes() == gimg[:, :, pad:pad + 9, pad:pad + 9].tobytes()
+
+
 def test_avg_and_global_pool_values():
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
     out = avg_pool2d(Tensor(x), 2)
@@ -230,3 +392,29 @@ def test_grad_accumulates_across_reuse():
         loss = sum_all(add(mul(x, x), x))
     backward(tape, loss)
     assert np.allclose(x.grad, 2 * 3.0 + 1.0)
+
+
+def test_second_backward_adds_one_more_gradient():
+    # stale intermediate slots used to be replayed: 6 + 18 = 24, not 12
+    x = Tensor(np.array(3.0))
+    with Tape() as tape:
+        loss = sum_all(relu(mul(x, x)))
+    backward(tape, loss)
+    assert x.grad == 6.0
+    backward(tape, loss)
+    assert x.grad == 12.0
+
+
+def test_backward_releases_intermediate_grads():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+    k = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    with Tape() as tape:
+        y = conv2d(x, k, 1, 1)
+        z = relu(y)
+        loss = sum_all(mul(z, z))
+    backward(tape, loss)
+    assert x.grad is not None and k.grad is not None
+    assert y.grad is None and z.grad is None
+    for _name, out, _fn in tape._entries:
+        assert (out.grad is None) == (out is not loss)
