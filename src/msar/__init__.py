@@ -8,13 +8,12 @@ front end (train / eval / analyze / gradcheck).
 """
 
 from .tensor import (Tape, Tensor, backward, relu, sigmoid, conv2d, linear,
-                     fully_connected, batch_norm, BNState, cross_entropy,
-                     global_avg_pool, concat_channels)
+                     batch_norm, BNState, cross_entropy, global_avg_pool,
+                     concat_channels)
 from .pooling import (CoordinateSetSpec, build_sat, rect_sum, coordinate_set,
                       region_avg_pool, coordinate_avg_pool, broadcast_weights)
-from .recalibrate import (RecalibrationParams, MultiScaleConfig, sar_forward,
-                          ms_sar, se_reference, ScaleRecalibration,
-                          MultiScaleRecalibration)
+from .recalibrate import (RecalibrationParams, MultiScaleConfig, se_reference,
+                          ScaleRecalibration, MultiScaleRecalibration)
 from .blocks import (NetworkSpec, StageSpec, MsarSettings, build_network,
                      ResidualBlock, DenseStep, Network,
                      resnet_cifar, densenet_cifar, resnet_ilsvrc, resnext50_ilsvrc)

@@ -8,6 +8,13 @@ and compressing transitions, and grouped-convolution residual networks.
 The grouped family is described for cost analysis only; its specs are
 rejected at build time.
 
+plan(spec) walks a spec once and yields its blocks in forward order
+(stem, stage blocks or dense steps and transitions, head).  Each block
+class lists its leaf modules as Layer records through a static
+layers(); build_network creates one leaf per record, and costs.report
+prices the same records, so the cost table and the built network share
+one list of layer names.
+
 Every module exposes parameters() as (name, tensor, kind) triples, with
 kind one of "weight", "bias", "norm", plus norm_states() for running
 normalization statistics.  Names are hierarchical and stable, and a
@@ -173,10 +180,113 @@ class Linear:
 
 
 # ---------------------------------------------------------------------------
-# composite blocks
+# the layer plan
 # ---------------------------------------------------------------------------
 
-class ResidualBlock:
+@dataclass(frozen=True)
+class Layer:
+    """One leaf module of a network, as built and as priced.
+
+    op is "conv", "compress" (a dense transition's 1x1 convolution,
+    priced for parameters only), "norm", "linear" or "recal".  size is
+    the side of the layer's output map; for "recal", c_in is the width
+    of the pooled context, c_out the width of the gated map and reduced
+    the bottleneck width.  A convolution pads by k // 2.
+    """
+
+    name: str
+    op: str
+    c_in: int
+    c_out: int
+    size: int
+    k: int = 1
+    stride: int = 1
+    groups: int = 1
+    reduced: int = 0
+
+
+def _leaf(layer: Layer, msar: MsarSettings | None, rng, dtype):
+    if layer.op in ("conv", "compress"):
+        return Conv(layer.name, layer.c_in, layer.c_out, layer.k, layer.stride,
+                    layer.k // 2, rng, dtype)
+    if layer.op == "norm":
+        return BatchNorm(layer.name, layer.c_out, dtype)
+    if layer.op == "linear":
+        return Linear(layer.name, layer.c_in, layer.c_out, rng, dtype)
+    return MultiScaleRecalibration(layer.name, msar.config(), layer.c_in, layer.c_out,
+                                   layer.size, layer.size, layer.reduced, rng, dtype)
+
+
+def _norm(name: str, features: int, size: int) -> Layer:
+    return Layer(name, "norm", features, features, size)
+
+
+def _shortcut_and_recal(name, c_in, c_out, stride, size, msar) -> list[Layer]:
+    """A residual block's projection (when the shape changes) and gate."""
+    layers = []
+    if stride != 1 or c_in != c_out:
+        layers.append(Layer(f"{name}.project", "conv", c_in, c_out, size, 1, stride))
+    if msar is not None:
+        layers.append(Layer(f"{name}.recal", "recal", c_out, c_out, size,
+                            reduced=residual_reduced(c_out, len(msar.scales))))
+    return layers
+
+
+# ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+class Block:
+    """A module made of the leaves its class's layers() lists.
+
+    Constructed as cls(name, *geometry, msar, rng, dtype), where msar is
+    the recalibration settings or None.  Leaves are created in layer
+    order, which is also the order random weights are drawn in, and each
+    is an attribute named by the last part of its layer name (conv1,
+    norm1, project, recal, ...).  Optional leaves a block lacks read as
+    None.
+    """
+
+    norm = project = recal = None
+
+    def __init__(self, name, *args):
+        *geometry, msar, rng, dtype = args
+        self.name = name
+        self.msar = msar
+        self.leaves = []
+        for layer in self.layers(name, *geometry, msar):
+            leaf = _leaf(layer, msar, rng, dtype)
+            setattr(self, layer.name.rsplit(".", 1)[1], leaf)
+            self.leaves.append(leaf)
+
+    def parameters(self):
+        return [p for leaf in self.leaves for p in leaf.parameters()]
+
+    def norm_states(self):
+        return [s for leaf in self.leaves for s in leaf.norm_states()]
+
+
+class Stem(Block):
+    """Input convolution; stage-wise families follow it with norm and relu,
+    and optionally a 3x3 stride-2 max pool."""
+
+    def __init__(self, name, c_in, c_out, k, stride, size, normed, pool, msar, rng, dtype):
+        super().__init__(name, c_in, c_out, k, stride, size, normed, pool, msar, rng, dtype)
+        self.pool = pool
+
+    @staticmethod
+    def layers(name, c_in, c_out, k, stride, size, normed, pool, msar):
+        conv = Layer(f"{name}.conv", "conv", c_in, c_out, size, k, stride)
+        return [conv, _norm(f"{name}.norm", c_out, size)] if normed else [conv]
+
+    def forward(self, x, training, recalibrate=True):
+        y = self.conv.forward(x)
+        if self.norm is not None:
+            y = relu(self.norm.forward(y, training))
+        return max_pool2d(y, 3, 2, 1) if self.pool else y
+
+
+class ResidualBlock(Block):
     """conv-norm-relu-conv-norm, optional recalibration, skip add, relu.
 
     The skip path is the identity, or a bare 1x1 strided convolution when
@@ -184,20 +294,13 @@ class ResidualBlock:
     output before the addition, pooling from that same tensor.
     """
 
-    def __init__(self, name, c_in, c_out, stride, out_size, msar, rng, dtype):
-        self.name = name
-        self.conv1 = Conv(f"{name}.conv1", c_in, c_out, 3, stride, 1, rng, dtype)
-        self.norm1 = BatchNorm(f"{name}.norm1", c_out, dtype)
-        self.conv2 = Conv(f"{name}.conv2", c_out, c_out, 3, 1, 1, rng, dtype)
-        self.norm2 = BatchNorm(f"{name}.norm2", c_out, dtype)
-        self.project = (Conv(f"{name}.project", c_in, c_out, 1, stride, 0, rng, dtype)
-                        if stride != 1 or c_in != c_out else None)
-        self.recal = None
-        if msar is not None:
-            reduced = residual_reduced(c_out, len(msar.scales))
-            self.recal = MultiScaleRecalibration(
-                f"{name}.recal", msar.config(), c_out, c_out,
-                out_size, out_size, reduced, rng, dtype)
+    @staticmethod
+    def layers(name, c_in, c_out, stride, size, msar):
+        return [Layer(f"{name}.conv1", "conv", c_in, c_out, size, 3, stride),
+                _norm(f"{name}.norm1", c_out, size),
+                Layer(f"{name}.conv2", "conv", c_out, c_out, size, 3),
+                _norm(f"{name}.norm2", c_out, size),
+                *_shortcut_and_recal(name, c_in, c_out, stride, size, msar)]
 
     def forward(self, x, training, recalibrate=True):
         y = relu(self.norm1.forward(self.conv1.forward(x), training))
@@ -207,22 +310,24 @@ class ResidualBlock:
         skip = self.project.forward(x) if self.project is not None else x
         return relu(add(y, skip))
 
-    def _children(self):
-        kids = [self.conv1, self.norm1, self.conv2, self.norm2]
-        if self.recal is not None:
-            kids.append(self.recal)
-        if self.project is not None:
-            kids.append(self.project)
-        return kids
 
-    def parameters(self):
-        return [p for kid in self._children() for p in kid.parameters()]
+class GroupedBlock:
+    """Bottleneck with a grouped 3x3 convolution, half the output width
+    inside.  Cost model only: the engine has no grouped convolution."""
 
-    def norm_states(self):
-        return [s for kid in self._children() for s in kid.norm_states()]
+    @staticmethod
+    def layers(name, c_in, c_out, stride, size, groups, msar):
+        inner = c_out // 2
+        return [Layer(f"{name}.conv1", "conv", c_in, inner, size),
+                _norm(f"{name}.norm1", inner, size),
+                Layer(f"{name}.conv2", "conv", inner, inner, size, 3, stride, groups),
+                _norm(f"{name}.norm2", inner, size),
+                Layer(f"{name}.conv3", "conv", inner, c_out, size),
+                _norm(f"{name}.norm3", c_out, size),
+                *_shortcut_and_recal(name, c_in, c_out, stride, size, msar)]
 
 
-class DenseStep:
+class DenseStep(Block):
     """Pre-activation bottleneck step: norm-relu-1x1, norm-relu-3x3, concat.
 
     Recalibration gates the freshly produced features before they are
@@ -231,76 +336,104 @@ class DenseStep:
     features themselves (single stage-mode).
     """
 
-    def __init__(self, name, c_in, growth, bottleneck_factor, out_size, msar, rng, dtype):
-        self.name = name
+    @staticmethod
+    def layers(name, c_in, growth, bottleneck_factor, size, msar):
         inner = bottleneck_factor * growth
-        self.norm1 = BatchNorm(f"{name}.norm1", c_in, dtype)
-        self.conv1 = Conv(f"{name}.conv1", c_in, inner, 1, 1, 0, rng, dtype)
-        self.norm2 = BatchNorm(f"{name}.norm2", inner, dtype)
-        self.conv2 = Conv(f"{name}.conv2", inner, growth, 3, 1, 1, rng, dtype)
-        self.stage_mode = msar.stage_mode if msar is not None else "multi"
-        self.recal = None
+        layers = [_norm(f"{name}.norm1", c_in, size),
+                  Layer(f"{name}.conv1", "conv", c_in, inner, size),
+                  _norm(f"{name}.norm2", inner, size),
+                  Layer(f"{name}.conv2", "conv", inner, growth, size, 3)]
         if msar is not None:
             d_in = c_in if msar.stage_mode == "multi" else growth
-            self.recal = MultiScaleRecalibration(
-                f"{name}.recal", msar.config(), d_in, growth,
-                out_size, out_size, dense_reduced(growth), rng, dtype)
+            layers.append(Layer(f"{name}.recal", "recal", d_in, growth, size,
+                                reduced=dense_reduced(growth)))
+        return layers
 
     def forward(self, x, training, recalibrate=True):
         y = self.conv1.forward(relu(self.norm1.forward(x, training)))
         y = self.conv2.forward(relu(self.norm2.forward(y, training)))
         if self.recal is not None and recalibrate:
-            src = x if self.stage_mode == "multi" else y
+            src = x if self.msar.stage_mode == "multi" else y
             y = self.recal.forward(y, training, pool_src=src)
         return concat_channels(x, y)
 
-    def _children(self):
-        kids = [self.norm1, self.conv1, self.norm2, self.conv2]
-        if self.recal is not None:
-            kids.append(self.recal)
-        return kids
 
-    def parameters(self):
-        return [p for kid in self._children() for p in kid.parameters()]
-
-    def norm_states(self):
-        return [s for kid in self._children() for s in kid.norm_states()]
-
-
-class PlainBlock:
+class PlainBlock(Block):
     """conv-norm-relu unit for unshortcut stacks."""
 
-    def __init__(self, name, c_in, c_out, stride, rng, dtype):
-        self.name = name
-        self.conv = Conv(f"{name}.conv", c_in, c_out, 3, stride, 1, rng, dtype)
-        self.norm = BatchNorm(f"{name}.norm", c_out, dtype)
+    @staticmethod
+    def layers(name, c_in, c_out, stride, size, msar):
+        return [Layer(f"{name}.conv", "conv", c_in, c_out, size, 3, stride),
+                _norm(f"{name}.norm", c_out, size)]
 
     def forward(self, x, training, recalibrate=True):
         return relu(self.norm.forward(self.conv.forward(x), training))
 
-    def parameters(self):
-        return self.conv.parameters() + self.norm.parameters()
 
-    def norm_states(self):
-        return self.norm.norm_states()
-
-
-class Transition:
+class Transition(Block):
     """norm-relu-1x1 compression followed by 2x2 average pooling."""
 
-    def __init__(self, name, c_in, c_out, rng, dtype):
-        self.name = name
-        self.norm = BatchNorm(f"{name}.norm", c_in, dtype)
-        self.conv = Conv(f"{name}.conv", c_in, c_out, 1, 1, 0, rng, dtype)
+    @staticmethod
+    def layers(name, c_in, c_out, size, msar):
+        return [_norm(f"{name}.norm", c_in, size),
+                Layer(f"{name}.conv", "compress", c_in, c_out, size)]
 
-    def forward(self, x, training):
+    def forward(self, x, training, recalibrate=True):
         return avg_pool2d(self.conv.forward(relu(self.norm.forward(x, training))), 2)
 
-    def parameters(self):
-        return self.norm.parameters() + self.conv.parameters()
 
-    def norm_states(self):
-        return self.norm.norm_states()
+class Head(Block):
+    """Global average pooling and the classifier; the dense family puts a
+    norm-relu in front."""
+
+    @staticmethod
+    def layers(name, c_in, classes, size, normed, msar):
+        fc = Layer(f"{name}.fc", "linear", c_in, classes, 1)
+        return [_norm(f"{name}.norm", c_in, size), fc] if normed else [fc]
+
+    def forward(self, x, training, recalibrate=True):
+        if self.norm is not None:
+            x = relu(self.norm.forward(x, training))
+        return self.fc.forward(global_avg_pool(x))
+
+
+def plan(spec: NetworkSpec):
+    """Yield (block class, name, geometry) for every block in forward order.
+
+    cls(name, *geometry, spec.msar, rng, dtype) builds a block and
+    cls.layers(name, *geometry, spec.msar) lists its leaves.  The dense
+    family's stem keeps full resolution and has no norm or pool.
+    """
+    dense = spec.family == "dense"
+    stride = 1 if dense else spec.stem_stride
+    pool = spec.stem_pool and not dense
+    size = spec.input_size // stride
+    yield Stem, "stem", (spec.input_channels, spec.stem_width, spec.stem_kernel,
+                         stride, size, not dense, pool)
+    if pool:
+        size = (size + 2 - 3) // 2 + 1
+    width = spec.stem_width
+    for i, stage in enumerate(spec.stages):
+        for j in range(stage.blocks):
+            if dense:
+                yield DenseStep, f"stage{i}.step{j}", (width, spec.growth,
+                                                       spec.bottleneck_factor, size)
+                width += spec.growth
+                continue
+            stride = stage.stride if j == 0 else 1
+            size //= stride
+            geometry = (width, stage.width, stride, size)
+            if spec.family == "grouped":
+                yield GroupedBlock, f"stage{i}.block{j}", geometry + (spec.groups,)
+            else:
+                cls = ResidualBlock if spec.family == "residual" else PlainBlock
+                yield cls, f"stage{i}.block{j}", geometry
+            width = stage.width
+        if dense and i < len(spec.stages) - 1:
+            out = int(width * spec.compression)
+            yield Transition, f"transition{i}", (width, out, size)
+            width, size = out, size // 2
+    yield Head, "head", (width, spec.classes, size, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -317,95 +450,20 @@ class Network:
                 "they cannot be built for execution")
         self.spec = spec
         self.dtype = dtype
-        self._modules = []
-        if spec.family == "dense":
-            self._build_dense(spec, rng, dtype)
-        else:
-            self._build_stagewise(spec, rng, dtype)
-
-    # -- construction ------------------------------------------------------
-
-    def _build_stagewise(self, spec, rng, dtype):
-        pad = spec.stem_kernel // 2
-        self.stem_conv = Conv("stem.conv", spec.input_channels, spec.stem_width,
-                              spec.stem_kernel, spec.stem_stride, pad, rng, dtype)
-        self.stem_norm = BatchNorm("stem.norm", spec.stem_width, dtype)
-        self._modules += [self.stem_conv, self.stem_norm]
-        size = spec.input_size // spec.stem_stride
-        if spec.stem_pool:
-            size = (size + 2 - 3) // 2 + 1
-        self.blocks = []
-        width = spec.stem_width
-        for i, stage in enumerate(spec.stages):
-            for j in range(stage.blocks):
-                stride = stage.stride if j == 0 else 1
-                size //= stride
-                if spec.family == "residual":
-                    block = ResidualBlock(f"stage{i}.block{j}", width, stage.width,
-                                          stride, size, spec.msar, rng, dtype)
-                else:
-                    block = PlainBlock(f"stage{i}.block{j}", width, stage.width,
-                                       stride, rng, dtype)
-                self.blocks.append(block)
-                self._modules.append(block)
-                width = stage.width
-        self.head_norm = None
-        self.fc = Linear("head.fc", width, spec.classes, rng, dtype)
-        self._modules.append(self.fc)
-
-    def _build_dense(self, spec, rng, dtype):
-        self.stem_conv = Conv("stem.conv", spec.input_channels, spec.stem_width,
-                              spec.stem_kernel, 1, spec.stem_kernel // 2, rng, dtype)
-        self._modules.append(self.stem_conv)
-        size = spec.input_size
-        self.blocks = []       # interleaved DenseStep / Transition in forward order
-        width = spec.stem_width
-        for i, stage in enumerate(spec.stages):
-            for j in range(stage.blocks):
-                step = DenseStep(f"stage{i}.step{j}", width, spec.growth,
-                                 spec.bottleneck_factor, size, spec.msar, rng, dtype)
-                self.blocks.append(step)
-                self._modules.append(step)
-                width += spec.growth
-            if i < len(spec.stages) - 1:
-                out = int(width * spec.compression)
-                trans = Transition(f"transition{i}", width, out, rng, dtype)
-                self.blocks.append(trans)
-                self._modules.append(trans)
-                width = out
-                size //= 2
-        self.head_norm = BatchNorm("head.norm", width, dtype)
-        self.fc = Linear("head.fc", width, spec.classes, rng, dtype)
-        self._modules += [self.head_norm, self.fc]
-
-    # -- execution ----------------------------------------------------------
+        self.blocks = [cls(name, *geometry, spec.msar, rng, dtype)
+                       for cls, name, geometry in plan(spec)]
 
     def forward(self, x, training=False, recalibrate=True):
-        if not isinstance(x, Tensor):
-            x = Tensor(x, dtype=self.dtype)
-        if self.spec.family == "dense":
-            y = self.stem_conv.forward(x)
-            for block in self.blocks:
-                if isinstance(block, Transition):
-                    y = block.forward(y, training)
-                else:
-                    y = block.forward(y, training, recalibrate)
-            y = relu(self.head_norm.forward(y, training))
-        else:
-            y = relu(self.stem_norm.forward(self.stem_conv.forward(x), training))
-            if self.spec.stem_pool:
-                y = max_pool2d(y, 3, 2, 1)
-            for block in self.blocks:
-                y = block.forward(y, training, recalibrate)
-        return self.fc.forward(global_avg_pool(y))
-
-    # -- registry ------------------------------------------------------------
+        y = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dtype)
+        for block in self.blocks:
+            y = block.forward(y, training, recalibrate)
+        return y
 
     def parameters(self):
-        return [p for m in self._modules for p in m.parameters()]
+        return [p for block in self.blocks for p in block.parameters()]
 
     def norm_states(self):
-        return [s for m in self._modules for s in m.norm_states()]
+        return [s for block in self.blocks for s in block.norm_states()]
 
     def parameter_count(self) -> int:
         """Trainable entries plus running normalization statistics."""

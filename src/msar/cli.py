@@ -23,9 +23,8 @@ from .gradcheck import TOLERANCE, check_gradients
 from .pooling import CoordinateSetSpec, broadcast_weights, coordinate_avg_pool
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
-                     concat_channels, conv2d, cross_entropy, fully_connected,
-                     global_avg_pool, linear, max_pool2d, mul, relu, reshape,
-                     scale, sigmoid)
+                     concat_channels, conv2d, cross_entropy, global_avg_pool,
+                     linear, max_pool2d, mul, relu, reshape, scale, sigmoid)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
 
@@ -168,8 +167,6 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
 
     x1, w1, b1 = t(5, 6), t(4, 6), t(4)
     rows.append(("linear", lambda: linear(x1, w1, b1), [x1, w1, b1]))
-    x2, w2 = t(3, 6), t(4, 6)
-    rows.append(("fully_connected", lambda: fully_connected(x2, w2), [x2, w2]))
     xc, yc = t(2, 3, 4, 4), t(2, 2, 4, 4)
     rows.append(("concat_channels", lambda: concat_channels(xc, yc), [xc, yc]))
 

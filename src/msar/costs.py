@@ -19,8 +19,9 @@ Conventions, applied uniformly:
   scale for the two bottleneck transforms applied to every pooled
   vector.
 
-The walkers here mirror the builders in blocks.py layer for layer; the
-test suite cross-checks them against the materialized networks.
+report() prices the layer plan that build_network instantiates
+(blocks.plan and each block class's layers()), one row per leaf module,
+so its rows carry the built network's leaf names in forward order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import NetworkSpec, dense_reduced, residual_reduced
+from .blocks import Layer, MsarSettings, NetworkSpec, plan
 from .pooling import CoordinateSetSpec
 
 
@@ -132,145 +133,24 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def _norm_row(name: str, features: int) -> CostRow:
-    return CostRow(name, 4 * features, 0)
-
-
-def _recal_row(name: str, spec: NetworkSpec, d_in: int, d_out: int,
-               reduced: int, size: int) -> CostRow:
-    specs = spec.msar.config().specs(size, size)
-    cost = msar_cost(d_in, d_out, reduced, specs)
-    return CostRow(name, cost.params, cost.flops, is_recal=True)
-
-
-def _residual_rows(spec: NetworkSpec) -> list[CostRow]:
-    rows = []
-    size = spec.input_size // spec.stem_stride
-    p, f = conv_cost(spec.stem_kernel, spec.input_channels, spec.stem_width, size, size)
-    rows.append(CostRow("stem.conv", p, f))
-    rows.append(_norm_row("stem.norm", spec.stem_width))
-    if spec.stem_pool:
-        size = (size + 2 - 3) // 2 + 1
-    width = spec.stem_width
-    for i, stage in enumerate(spec.stages):
-        for j in range(stage.blocks):
-            stride = stage.stride if j == 0 else 1
-            size //= stride
-            base = f"stage{i}.block{j}"
-            p, f = conv_cost(3, width, stage.width, size, size)
-            rows.append(CostRow(f"{base}.conv1", p, f))
-            rows.append(_norm_row(f"{base}.norm1", stage.width))
-            p, f = conv_cost(3, stage.width, stage.width, size, size)
-            rows.append(CostRow(f"{base}.conv2", p, f))
-            rows.append(_norm_row(f"{base}.norm2", stage.width))
-            if spec.msar is not None:
-                reduced = residual_reduced(stage.width, len(spec.msar.scales))
-                rows.append(_recal_row(f"{base}.recal", spec,
-                                       stage.width, stage.width, reduced, size))
-            if stride != 1 or width != stage.width:
-                p, f = conv_cost(1, width, stage.width, size, size)
-                rows.append(CostRow(f"{base}.project", p, f))
-            width = stage.width
-    rows.append(CostRow("head.fc", width * spec.classes + spec.classes,
-                        width * spec.classes))
-    return rows
-
-
-def _plain_rows(spec: NetworkSpec) -> list[CostRow]:
-    rows = []
-    size = spec.input_size // spec.stem_stride
-    p, f = conv_cost(spec.stem_kernel, spec.input_channels, spec.stem_width, size, size)
-    rows.append(CostRow("stem.conv", p, f))
-    rows.append(_norm_row("stem.norm", spec.stem_width))
-    if spec.stem_pool:
-        size = (size + 2 - 3) // 2 + 1
-    width = spec.stem_width
-    for i, stage in enumerate(spec.stages):
-        for j in range(stage.blocks):
-            stride = stage.stride if j == 0 else 1
-            size //= stride
-            base = f"stage{i}.block{j}"
-            p, f = conv_cost(3, width, stage.width, size, size)
-            rows.append(CostRow(f"{base}.conv", p, f))
-            rows.append(_norm_row(f"{base}.norm", stage.width))
-            width = stage.width
-    rows.append(CostRow("head.fc", width * spec.classes + spec.classes,
-                        width * spec.classes))
-    return rows
-
-
-def _grouped_rows(spec: NetworkSpec) -> list[CostRow]:
-    rows = []
-    size = spec.input_size // spec.stem_stride
-    p, f = conv_cost(spec.stem_kernel, spec.input_channels, spec.stem_width, size, size)
-    rows.append(CostRow("stem.conv", p, f))
-    rows.append(_norm_row("stem.norm", spec.stem_width))
-    if spec.stem_pool:
-        size = (size + 2 - 3) // 2 + 1
-    width = spec.stem_width
-    for i, stage in enumerate(spec.stages):
-        inner = stage.width // 2
-        for j in range(stage.blocks):
-            stride = stage.stride if j == 0 else 1
-            size //= stride
-            base = f"stage{i}.block{j}"
-            p, f = conv_cost(1, width, inner, size, size)
-            rows.append(CostRow(f"{base}.conv1", p, f))
-            rows.append(_norm_row(f"{base}.norm1", inner))
-            p, f = conv_cost(3, inner, inner, size, size, groups=spec.groups)
-            rows.append(CostRow(f"{base}.conv2", p, f))
-            rows.append(_norm_row(f"{base}.norm2", inner))
-            p, f = conv_cost(1, inner, stage.width, size, size)
-            rows.append(CostRow(f"{base}.conv3", p, f))
-            rows.append(_norm_row(f"{base}.norm3", stage.width))
-            if spec.msar is not None:
-                reduced = residual_reduced(stage.width, len(spec.msar.scales))
-                rows.append(_recal_row(f"{base}.recal", spec,
-                                       stage.width, stage.width, reduced, size))
-            if stride != 1 or width != stage.width:
-                p, f = conv_cost(1, width, stage.width, size, size)
-                rows.append(CostRow(f"{base}.project", p, f))
-            width = stage.width
-    rows.append(CostRow("head.fc", width * spec.classes + spec.classes,
-                        width * spec.classes))
-    return rows
-
-
-def _dense_rows(spec: NetworkSpec) -> list[CostRow]:
-    rows = []
-    size = spec.input_size
-    inner = spec.bottleneck_factor * spec.growth
-    p, f = conv_cost(spec.stem_kernel, spec.input_channels, spec.stem_width, size, size)
-    rows.append(CostRow("stem.conv", p, f))
-    width = spec.stem_width
-    for i, stage in enumerate(spec.stages):
-        for j in range(stage.blocks):
-            base = f"stage{i}.step{j}"
-            rows.append(_norm_row(f"{base}.norm1", width))
-            p, f = conv_cost(1, width, inner, size, size)
-            rows.append(CostRow(f"{base}.conv1", p, f))
-            rows.append(_norm_row(f"{base}.norm2", inner))
-            p, f = conv_cost(3, inner, spec.growth, size, size)
-            rows.append(CostRow(f"{base}.conv2", p, f))
-            if spec.msar is not None:
-                d_in = width if spec.msar.stage_mode == "multi" else spec.growth
-                rows.append(_recal_row(f"{base}.recal", spec, d_in, spec.growth,
-                                       dense_reduced(spec.growth), size))
-            width += spec.growth
-        if i < len(spec.stages) - 1:
-            out = int(width * spec.compression)
-            rows.append(_norm_row(f"transition{i}.norm", width))
-            rows.append(CostRow(f"transition{i}.conv", width * out, 0))
-            width = out
-            size //= 2
-    rows.append(_norm_row("head.norm", width))
-    rows.append(CostRow("head.fc", width * spec.classes + spec.classes,
-                        width * spec.classes))
-    return rows
+def _row(layer: Layer, msar: MsarSettings | None) -> CostRow:
+    """Price one leaf of the layer plan."""
+    if layer.op == "norm":
+        return CostRow(layer.name, 4 * layer.c_out, 0)
+    if layer.op == "linear":
+        macs = layer.c_in * layer.c_out
+        return CostRow(layer.name, macs + layer.c_out, macs)
+    if layer.op == "recal":
+        cost = msar_cost(layer.c_in, layer.c_out, layer.reduced,
+                         msar.config().specs(layer.size, layer.size))
+        return CostRow(layer.name, cost.params, cost.flops, is_recal=True)
+    params, flops = conv_cost(layer.k, layer.c_in, layer.c_out, layer.size, layer.size,
+                              layer.groups)
+    return CostRow(layer.name, params, flops if layer.op == "conv" else 0)
 
 
 def report(spec: NetworkSpec) -> CostReport:
     """Layer-by-layer parameter and multiply budget of an architecture."""
-    walker = {"plain": _plain_rows, "residual": _residual_rows,
-              "grouped": _grouped_rows, "dense": _dense_rows}[spec.family]
-    return CostReport(spec.name, tuple(walker(spec)))
+    rows = [_row(layer, spec.msar) for cls, name, geometry in plan(spec)
+            for layer in cls.layers(name, *geometry, spec.msar)]
+    return CostReport(spec.name, tuple(rows))

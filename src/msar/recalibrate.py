@@ -69,35 +69,6 @@ def _bottleneck(flat: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
     return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
 
 
-def sar_forward(pool_src: Tensor, params: RecalibrationParams,
-                spec: CoordinateSetSpec, training: bool) -> Tensor:
-    """Gate map of one scale: (N, d_in, H, W) -> (N, d_out, H, W) in (0, 1)."""
-    y = coordinate_avg_pool(pool_src, spec)
-    n, m, d = y.shape
-    v = _bottleneck(reshape(y, (n * m, d)), params, training)
-    z = reshape(v, (n, m, v.shape[1]))
-    return broadcast_weights(z, spec)
-
-
-def ms_sar(gate: Tensor, scale_pairs, training: bool,
-           pool_src: Tensor | None = None) -> Tensor:
-    """Multiply gate by the mean of per-scale gate maps.
-
-    scale_pairs is a sequence of (RecalibrationParams, CoordinateSetSpec);
-    pool_src defaults to the gated tensor itself.
-    """
-    if not scale_pairs:
-        raise ValueError("ms_sar: no scales given")
-    src = gate if pool_src is None else pool_src
-    maps = [sar_forward(src, p, s, training) for p, s in scale_pairs]
-    total = maps[0]
-    for extra in maps[1:]:
-        total = add(total, extra)
-    if len(maps) > 1:
-        total = scale(total, 1.0 / len(maps))
-    return mul(gate, total)
-
-
 def se_reference(x: Tensor, params: RecalibrationParams, training: bool) -> Tensor:
     """Squeeze-and-excitation gate: global average, bottleneck, channel scale."""
     n, d, h, w = x.shape
@@ -117,7 +88,11 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def forward(self, pool_src: Tensor, training: bool) -> Tensor:
-        return sar_forward(pool_src, self.params, self.spec, training)
+        """Gate map of this scale: (N, d_in, H, W) -> (N, d_out, H, W) in (0, 1)."""
+        y = coordinate_avg_pool(pool_src, self.spec)
+        n, m, d = y.shape
+        v = _bottleneck(reshape(y, (n * m, d)), self.params, training)
+        return broadcast_weights(reshape(v, (n, m, v.shape[1])), self.spec)
 
     def parameters(self):
         p = self.params
@@ -150,8 +125,19 @@ class MultiScaleRecalibration:
 
     def forward(self, gate: Tensor, training: bool,
                 pool_src: Tensor | None = None) -> Tensor:
-        pairs = [(s.params, s.spec) for s in self.scales]
-        return ms_sar(gate, pairs, training, pool_src=pool_src)
+        """Multiply gate by the mean of the per-scale gate maps.
+
+        pool_src defaults to the gated tensor itself.  Every scale's map
+        is computed before the first add, then the sum is scaled once.
+        """
+        src = gate if pool_src is None else pool_src
+        maps = [s.forward(src, training) for s in self.scales]
+        total = maps[0]
+        for extra in maps[1:]:
+            total = add(total, extra)
+        if len(maps) > 1:
+            total = scale(total, 1.0 / len(maps))
+        return mul(gate, total)
 
     def parameters(self):
         return [entry for s in self.scales for entry in s.parameters()]

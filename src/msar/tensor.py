@@ -283,13 +283,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _emit("linear", out, bwd)
 
 
-def fully_connected(x: Tensor, w: Tensor) -> Tensor:
-    """Bias-free linear map; accepts a single vector or a matrix of rows."""
-    if x.ndim == 1:
-        return reshape(linear(reshape(x, (1, x.shape[0])), w), (w.shape[0],))
-    return linear(x, w)
-
-
 # ---------------------------------------------------------------------------
 # convolution (strided window views) and pooling
 # ---------------------------------------------------------------------------
@@ -508,10 +501,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         logits.grad += og * g / n
 
     return _emit("cross_entropy", out, bwd)
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Plain-numpy softmax used by evaluation code paths."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)

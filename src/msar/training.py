@@ -98,10 +98,26 @@ def evaluate(network, images: np.ndarray, labels: np.ndarray,
     return math.fsum(losses) / n, wrong / n
 
 
+def _batch_bounds(n: int, batch_size: int):
+    """(lo, hi) of each training batch over n shuffled records.
+
+    A one-sample tail joins the batch before it: training-mode batch
+    norm over a single pooled vector makes a K=1 gate constant, which
+    gives its weights exactly zero gradient.
+    """
+    starts = list(range(0, n, batch_size))
+    if batch_size > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def train(network, train_images, train_labels, test_images, test_labels,
           settings: TrainSettings, clock=time.monotonic):
     """Run the training loop; returns one curve row per epoch.
 
+    Each epoch visits the records in a fresh random order, in batches of
+    settings.batch_size; when one record would be left over, it joins
+    the last full batch instead (n=9 at batch 4 trains on 4 and 5).
     Rows are dicts keyed epoch, train_loss, train_err, test_loss,
     test_err, lr, seconds.  With log_timing off the seconds column is
     written as 0.0 so identical runs produce identical rows.
@@ -114,8 +130,8 @@ def train(network, train_images, train_labels, test_images, test_labels,
         lr = lr_at(settings.lr, settings.drops, epoch)
         start = clock() if settings.log_timing else 0.0
         perm = rng.permutation(n)
-        for lo in range(0, n, settings.batch_size):
-            idx = perm[lo:lo + settings.batch_size]
+        for lo, hi in _batch_bounds(n, settings.batch_size):
+            idx = perm[lo:hi]
             if settings.augment:
                 xb = np.stack([augment(train_images[i], rng) for i in idx])
             else:

@@ -10,7 +10,9 @@ Layout:
 Entries cover every trainable parameter and every running
 normalization statistic, so a load fully restores eval-mode behavior.
 Loading matches entries by name and reports the first mismatch it
-finds; strict mode also requires the file to cover the whole network.
+finds (an unknown, duplicated or wrongly shaped entry, or a NaN or
+infinite value); strict mode also requires the file to cover the whole
+network.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def load_weights(path: str, network, strict: bool = True) -> None:
         count = int(count_line)
     except ValueError:
         raise ValueError(f"{path}: malformed entry count") from None
-    manifest = []
+    manifest = {}
     for i in range(count):
         try:
             line, body = body.split(b"\n", 1)
@@ -66,11 +68,13 @@ def load_weights(path: str, network, strict: bool = True) -> None:
             raise ValueError(f"{path}: manifest truncated at entry {i}") from None
         name, _, dims = line.decode().partition(" ")
         shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-        manifest.append((name, shape))
+        if name in manifest:
+            raise ValueError(f"{path}: duplicate manifest entry {name}")
+        manifest[name] = shape
 
     targets = dict(_entries(network))
     offset = 0
-    for name, shape in manifest:
+    for name, shape in manifest.items():
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = size * 8
         if offset + nbytes > len(body):
@@ -83,6 +87,8 @@ def load_weights(path: str, network, strict: bool = True) -> None:
                 f"{path}: parameter {name} has shape {shape} but the network "
                 f"expects {dst.shape}")
         arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name} holds non-finite values")
         dst[...] = arr.astype(dst.dtype, copy=False)
         offset += nbytes
     if offset != len(body):

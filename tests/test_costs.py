@@ -141,9 +141,13 @@ BUILDABLE = [
 
 @pytest.mark.parametrize("spec", BUILDABLE, ids=[s.name for s in BUILDABLE])
 def test_cost_params_match_built_network(spec):
-    # the analytic count must equal the trainable + running array total
+    # the analytic count must equal the trainable + running array total,
+    # and the rows must name the built leaf modules in forward order
     net = build_network(spec, seed=0)
-    assert report(spec).total_params == net.parameter_count()
+    rep = report(spec)
+    assert rep.total_params == net.parameter_count()
+    leaves = [leaf.name for block in net.blocks for leaf in block.leaves]
+    assert [r.name for r in rep.rows] == leaves
 
 
 def test_msar_flop_overhead_under_one_percent_all_depths():

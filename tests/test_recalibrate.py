@@ -6,7 +6,7 @@ import pytest
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import CoordinateSetSpec, coordinate_set
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
-                              RecalibrationParams, ms_sar, sar_forward,
+                              RecalibrationParams, ScaleRecalibration,
                               se_reference)
 from msar.tensor import Tensor
 
@@ -59,13 +59,17 @@ def fresh_params(d, reduced, seed):
     return RecalibrationParams(d, d, reduced, np.random.default_rng(seed))
 
 
+def fresh_scale(spec, d, reduced, seed):
+    # draws the same weights as fresh_params(d, reduced, seed)
+    return ScaleRecalibration("s", spec, d, d, reduced, np.random.default_rng(seed))
+
+
 def test_single_scale_matches_naive_oracle():
     rng = np.random.default_rng(31)
     for strategy, k in (("regional", 2), ("regional", 3), ("sliding", 2)):
         spec = CoordinateSetSpec(strategy, k, 6, 6)
-        params = fresh_params(4, 2, seed=k)
         x = rng.standard_normal((3, 4, 6, 6))
-        got = sar_forward(Tensor(x), params, spec, training=True)
+        got = fresh_scale(spec, 4, 2, seed=k).forward(Tensor(x), training=True)
         want = naive_recalibration(x, fresh_params(4, 2, seed=k), spec)
         assert np.allclose(got.data, want, atol=1e-10)
 
@@ -73,18 +77,16 @@ def test_single_scale_matches_naive_oracle():
 def test_gate_values_strictly_inside_unit_interval():
     rng = np.random.default_rng(32)
     spec = CoordinateSetSpec("regional", 2, 8, 8)
-    params = fresh_params(6, 3, seed=5)
     x = rng.standard_normal((2, 6, 8, 8)) * 5
-    z = sar_forward(Tensor(x), params, spec, training=True)
+    z = fresh_scale(spec, 6, 3, seed=5).forward(Tensor(x), training=True)
     assert ((z.data > 0) & (z.data < 1)).all()
 
 
 def test_regional_weights_constant_within_cells():
     rng = np.random.default_rng(33)
     spec = CoordinateSetSpec("regional", 2, 6, 6)
-    params = fresh_params(3, 2, seed=9)
     x = rng.standard_normal((2, 3, 6, 6))
-    z = sar_forward(Tensor(x), params, spec, training=True)
+    z = fresh_scale(spec, 3, 2, seed=9).forward(Tensor(x), training=True)
     rects = {coordinate_set(spec, q, p)[0] for p in range(6) for q in range(6)}
     for h1, h2, w1, w2 in rects:
         cell = z.data[:, :, h1:h2 + 1, w1:w2 + 1]
@@ -100,8 +102,7 @@ def test_multi_scale_average_composes_single_scales():
                                      rng=np.random.default_rng(7))
     x = rng.standard_normal((2, 4, 8, 8))
     out = module.forward(Tensor(x), training=True)
-    parts = [sar_forward(Tensor(x), s.params, s.spec, True).data
-             for s in module.scales]
+    parts = [s.forward(Tensor(x), True).data for s in module.scales]
     want = x * (parts[0] + parts[1]) / 2.0
     assert np.allclose(out.data, want, atol=1e-12)
 
@@ -109,14 +110,14 @@ def test_multi_scale_average_composes_single_scales():
 def test_eval_mode_commutes_with_batch_permutation():
     rng = np.random.default_rng(35)
     spec = CoordinateSetSpec("regional", 2, 6, 6)
-    params = fresh_params(4, 2, seed=3)
+    module = fresh_scale(spec, 4, 2, seed=3)
     # push some running stats through first
     warm = rng.standard_normal((8, 4, 6, 6))
-    sar_forward(Tensor(warm), params, spec, training=True)
+    module.forward(Tensor(warm), training=True)
     x = rng.standard_normal((5, 4, 6, 6))
-    z = sar_forward(Tensor(x), params, spec, training=False)
+    z = module.forward(Tensor(x), training=False)
     perm = rng.permutation(5)
-    zp = sar_forward(Tensor(x[perm]), params, spec, training=False)
+    zp = module.forward(Tensor(x[perm]), training=False)
     assert np.allclose(zp.data, z.data[perm], atol=1e-12)
 
 
@@ -173,7 +174,7 @@ def test_separate_pool_source():
     gate = Tensor(rng.standard_normal((2, 3, 6, 6)))
     src = Tensor(rng.standard_normal((2, 6, 6, 6)))
     out = module.forward(gate, training=True, pool_src=src)
-    weights = sar_forward(src, module.scales[0].params, module.scales[0].spec, True)
+    weights = module.scales[0].forward(src, True)
     assert np.allclose(out.data, gate.data * weights.data, atol=1e-12)
 
 

@@ -8,9 +8,8 @@ import pytest
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.tensor import (BNState, Tape, Tensor, add, avg_pool2d, backward,
                          batch_norm, concat_channels, conv2d, cross_entropy,
-                         fully_connected, global_avg_pool, linear, max_pool2d,
-                         mul, relu, reshape, scale, sigmoid, softmax_probs,
-                         sum_all)
+                         global_avg_pool, linear, max_pool2d, mul, relu,
+                         reshape, scale, sigmoid, sum_all)
 
 
 def naive_conv2d(x, k, stride, pad):
@@ -248,13 +247,6 @@ def test_cross_entropy_extreme_logits_stable():
     assert loss.data == pytest.approx(500.0, rel=1e-9)
 
 
-def test_softmax_probs_sum_to_one():
-    rng = np.random.default_rng(16)
-    p = softmax_probs(rng.standard_normal((5, 7)) * 30)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert (p >= 0).all()
-
-
 def test_max_pool_matches_loop():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 8, 8))
@@ -330,7 +322,6 @@ def test_gradients_all_core_ops():
 
     xa, wa, ba = Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal((4, 6))), Tensor(rng.standard_normal(4))
     assert check_gradients(lambda: linear(xa, wa, ba), [xa, wa, ba], rng) < TOLERANCE
-    assert check_gradients(lambda: fully_connected(xa, wa), [xa, wa], rng) < TOLERANCE
 
     xc = Tensor(rng.standard_normal((2, 3, 6, 6)))
     kc = Tensor(rng.standard_normal((4, 3, 3, 3)))

@@ -156,6 +156,23 @@ def test_train_is_bitwise_deterministic():
     assert render_curve(rows_a) == render_curve(rows_b)
 
 
+@pytest.mark.parametrize("n,sizes", [(9, [4, 5]), (8, [4, 4]), (10, [4, 4, 2])])
+def test_one_sample_tail_joins_previous_batch(n, sizes):
+    net = build_network(TOY, seed=5)
+    seen = []
+    forward = net.forward
+
+    def spy(x, training=False, recalibrate=True):
+        if training:
+            seen.append(x.shape[0])
+        return forward(x, training, recalibrate)
+
+    net.forward = spy
+    xs, ys = make_split(n, 68)
+    train(net, xs, ys, xs[:4], ys[:4], fixed_settings(epochs=1))
+    assert seen == sizes
+
+
 def test_augment_rejects_non_record_shapes():
     with pytest.raises(ValueError):
         train(build_network(TOY, seed=4), *make_split(8, 66)[:2],

@@ -129,3 +129,29 @@ def test_float32_network_roundtrip(tmp_path):
     for (_, t1, _), (_, t2, _) in zip(src.parameters(), dst.parameters()):
         assert t2.data.dtype == np.float32
         assert (t1.data == t2.data).all()
+
+
+def write_raw(path, entries):
+    """A weight file with the given (name, array) entries, written by hand."""
+    with open(path, "wb") as fh:
+        fh.write(b"MSAR-WEIGHTS-1\n" + f"{len(entries)}\n".encode())
+        for name, arr in entries:
+            fh.write(f"{name} {','.join(str(d) for d in arr.shape)}\n".encode())
+        for _, arr in entries:
+            fh.write(arr.astype("<f8").tobytes())
+
+
+def test_duplicate_manifest_entry_diagnostic(tmp_path):
+    path = str(tmp_path / "w.bin")
+    write_raw(path, [("head.fc.bias", np.zeros(2)), ("head.fc.bias", np.ones(2))])
+    with pytest.raises(ValueError, match="duplicate manifest entry head.fc.bias"):
+        load_weights(path, build_network(SPEC, seed=0), strict=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(tmp_path, bad):
+    path = str(tmp_path / "w.bin")
+    write_raw(path, [("stem.norm.gamma", np.ones(4)), ("head.fc.bias", np.array([0.5, bad]))])
+    net = build_network(SPEC, seed=0)
+    with pytest.raises(ValueError, match="head.fc.bias holds non-finite"):
+        load_weights(path, net, strict=False)
