@@ -11,7 +11,7 @@ scales run side by side and their gate maps are averaged.
 import numpy as np
 
 from msar import (MultiScaleConfig, MultiScaleRecalibration, RecalibrationParams,
-                  Tensor, se_reference)
+                  Tensor, broadcast_weights, se_reference)
 
 rng = np.random.default_rng(7)
 
@@ -33,7 +33,8 @@ print("== multiple scales average their gate maps ==")
 multi = MultiScaleRecalibration("multi", MultiScaleConfig(scales=(1, 2, 4)),
                                 d_in=6, d_out=6, width=8, height=8,
                                 reduced=3, rng=rng)
-per_scale = [s.forward(x, training=False) for s in multi.scales]
+per_scale = [broadcast_weights(s.forward(x, training=False), s.spec)
+             for s in multi.scales]
 mean_map = sum(m.data for m in per_scale) / len(per_scale)
 combined = multi.forward(x, training=False)
 print(f"scales (1, 2, 4): max |combined - x * mean(per-scale maps)| = "

@@ -20,7 +20,7 @@ from .config import (ExperimentConfig, parse_config, to_network_spec,
 from .costs import report
 from .data import channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
-from .pooling import CoordinateSetSpec, broadcast_weights, coordinate_avg_pool
+from .pooling import CoordinateSetSpec, broadcast_weights, coordinate_avg_pool, gate
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
@@ -215,6 +215,12 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     leaves = [x12] + [tensor for _, tensor, _ in module.parameters()]
     rows.append(("multi_scale_recalibration",
                  lambda: module.forward(x12, training=True), leaves))
+
+    # cell edges of K=2 and K=3 on a 7x5 lattice do not nest
+    gs = [CoordinateSetSpec("regional", k, 7, 5) for k in (2, 3)]
+    x13 = t(2, 3, 5, 7)
+    vs = [t(2, s.vector_count, 3) for s in gs]
+    rows.append(("gate", lambda: gate(x13, vs, gs), [x13] + vs))
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Integral-image pooling over coordinate sets.
+"""Integral-image pooling over coordinate sets, and the gating op.
 
 A summed-area table T holds prefix sums of a feature map, so the sum of
 any axis-aligned rectangle costs four lookups.  Coordinate sets come in
@@ -10,7 +10,14 @@ grid of cells whose positions all share one pooled vector.
 Regional cell means are computed by direct slice reduction (each pixel
 is read exactly once, and a K=1 cell mean is bitwise identical to a
 plain global average); sliding means go through the summed-area table,
-one table per map shared by every query.
+one table per map shared by every query.  Each map is centred on its
+own mean before the table is built, so a float32 table keeps its
+precision, and everything stays in the input's dtype.
+
+gate() multiplies a feature map by the mean over scales of per-scale
+gate vectors broadcast over their coordinate sets.  It is one taped op
+whose closure keeps only the input and the small (N, M, D) vectors:
+the full-size mean map is rebuilt in backward instead of being kept.
 """
 
 from __future__ import annotations
@@ -120,16 +127,33 @@ def _cells(spec: CoordinateSetSpec):
             for i in range(spec.k) for j in range(spec.k)]
 
 
+def _grid(spec: CoordinateSetSpec):
+    """Row and column edges of the cells that share one pooled vector.
+
+    A sliding spec has a vector per position, so its cells are pixels.
+    """
+    if spec.strategy == "sliding":
+        return list(range(spec.height + 1)), list(range(spec.width + 1))
+    return _edges(spec.height, spec.k), _edges(spec.width, spec.k)
+
+
 def _window_bounds(n: int, r: int):
     pos = np.arange(n)
     return np.maximum(0, pos - r), np.minimum(n - 1, pos + r)
 
 
 def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """Mean of the clipped square window at every position of (..., H, W) maps."""
+    """Mean of the clipped square window at every position of (..., H, W) maps.
+
+    Every map is centred on its own mean before the summed-area table is
+    built, and that mean is added back to the box means.  This is exact
+    in exact arithmetic and keeps the table's running sums near zero, so
+    little is lost to cancellation.  Window sizes come back in x's dtype.
+    """
     height, width = spec.height, spec.width
     r = int(spec.threshold)
-    sat = np.cumsum(np.cumsum(x, axis=-2), axis=-1)
+    mu = x.mean(axis=(-2, -1), keepdims=True)
+    sat = np.cumsum(np.cumsum(x - mu, axis=-2), axis=-1)
     pad = np.zeros(x.shape[:-2] + (height + 1, width + 1), dtype=sat.dtype)
     pad[..., 1:, 1:] = sat
     h1, h2 = _window_bounds(height, r)
@@ -138,8 +162,8 @@ def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
             - pad[..., h1, :][..., w2 + 1]
             - pad[..., h2 + 1, :][..., w1]
             + pad[..., h1, :][..., w1])
-    counts = (h2 - h1 + 1)[:, None] * (w2 - w1 + 1)[None, :]
-    return sums / counts, counts.astype(np.float64)
+    counts = ((h2 - h1 + 1)[:, None] * (w2 - w1 + 1)[None, :]).astype(x.dtype)
+    return sums / counts + mu, counts
 
 
 def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
@@ -198,30 +222,85 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
     return _emit("coordinate_avg_pool", out, bwd)
 
 
+def _gate_map(vs, specs) -> np.ndarray:
+    """(N, D, H, W) mean over scales of (N, M_s, D) vectors broadcast over their cells.
+
+    The scales are combined on the common refinement of their cell edges
+    as (v_1 + v_2) + v_3 ..., then scaled by 1/S, so each position sees
+    the same arithmetic as a sum of full broadcast maps; only the result
+    is expanded to the lattice.
+    """
+    grids = [_grid(spec) for spec in specs]
+    rows = sorted(set().union(*(he for he, _ in grids)))
+    cols = sorted(set().union(*(we for _, we in grids)))
+    total = None
+    for v, (he, we) in zip(vs, grids):
+        i = np.searchsorted(he, rows[:-1], side="right") - 1
+        j = np.searchsorted(we, cols[:-1], side="right") - 1
+        part = v[:, i[:, None] * (len(we) - 1) + j[None, :], :]   # (N, J_h, J_w, D)
+        total = part if total is None else total + part
+    if len(vs) > 1:
+        total = total * (1.0 / len(vs))
+    total = total.transpose(0, 3, 1, 2)
+    heights, widths = np.diff(rows), np.diff(cols)
+    if (heights > 1).any():
+        total = np.repeat(total, heights, axis=2)
+    if (widths > 1).any():
+        total = np.repeat(total, widths, axis=3)
+    return np.ascontiguousarray(total)
+
+
+def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
+    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D)."""
+    n, d = g.shape[:2]
+    if spec.strategy == "sliding":
+        return g.transpose(0, 2, 3, 1).reshape(n, -1, d)
+    return np.stack([g[:, :, h1:h2 + 1, w1:w2 + 1].sum(axis=(2, 3))
+                     for h1, h2, w1, w2 in _cells(spec)], axis=1)
+
+
 def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
     """(N, M, D) pooled-position values -> (N, D, H, W) map by duplication."""
-    n, m, d = z.shape
-    if m != spec.vector_count:
-        raise ValueError(f"broadcast_weights: {m} vectors but spec has {spec.vector_count}")
-    height, width = spec.height, spec.width
-    if spec.strategy == "sliding":
-        out = Tensor(z.data.reshape(n, height, width, d).transpose(0, 3, 1, 2).copy())
-
-        def bwd(og):
-            z.ensure_grad()
-            z.grad += og.transpose(0, 2, 3, 1).reshape(n, m, d)
-
-        return _emit("broadcast_weights", out, bwd)
-
-    cells = _cells(spec)
-    full = np.empty((n, d, height, width), dtype=z.dtype)
-    for idx, (h1, h2, w1, w2) in enumerate(cells):
-        full[:, :, h1:h2 + 1, w1:w2 + 1] = z.data[:, idx, :][:, :, None, None]
-    out = Tensor(full)
+    if z.shape[1] != spec.vector_count:
+        raise ValueError(f"broadcast_weights: {z.shape[1]} vectors but spec has "
+                         f"{spec.vector_count}")
+    out = Tensor(_gate_map([z.data], [spec]))
 
     def bwd(og):
         z.ensure_grad()
-        for idx, (h1, h2, w1, w2) in enumerate(cells):
-            z.grad[:, idx, :] += og[:, :, h1:h2 + 1, w1:w2 + 1].sum(axis=(2, 3))
+        z.grad += _cell_sums(og, spec)
 
     return _emit("broadcast_weights", out, bwd)
+
+
+def gate(x: Tensor, vs, specs) -> Tensor:
+    """x * mean_s broadcast(vs[s], specs[s]) as one op.
+
+    vs[s] holds the (N, M_s, D) gate vectors of scale s.  The closure
+    keeps x, the vectors and the specs; backward rebuilds the mean map,
+    gives x og * mean, and gives each vs[s] the cell sums of og * x / S
+    over its own cells (for sliding, og * x / S itself).
+    """
+    n, d, height, width = x.shape
+    if not vs or len(vs) != len(specs):
+        raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
+    for v, spec in zip(vs, specs):
+        if (spec.height, spec.width) != (height, width):
+            raise ValueError(f"gate: map {height}x{width} does not match "
+                             f"spec lattice {spec.height}x{spec.width}")
+        if v.shape != (n, spec.vector_count, d):
+            raise ValueError(f"gate: vectors of shape {v.shape} but spec needs "
+                             f"({n}, {spec.vector_count}, {d})")
+    out = Tensor(x.data * _gate_map([v.data for v in vs], specs))
+
+    def bwd(og):
+        x.ensure_grad()
+        x.grad += og * _gate_map([v.data for v in vs], specs)
+        g = og * x.data
+        if len(vs) > 1:
+            g = g * (1.0 / len(vs))
+        for v, spec in zip(vs, specs):
+            v.ensure_grad()
+            v.grad += _cell_sums(g, spec)
+
+    return _emit("gate", out, bwd)

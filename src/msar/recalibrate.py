@@ -1,12 +1,14 @@
 """Spatially-asymmetric recalibration of feature maps.
 
-Each scale pools the feature map over its coordinate sets, pushes every
-pooled vector through a two-layer bottleneck (linear, normalization,
-ReLU, then linear, normalization, logistic), and paints the resulting
-gate values back onto the lattice.  Averaging the per-scale maps and
-multiplying into the features recalibrates each position by context
-gathered at several spatial ranges.  A single regional scale with one
-cell collapses to the classic squeeze-and-excitation channel gate;
+Each scale pools the feature map over its coordinate sets and pushes
+every pooled vector through a two-layer bottleneck (linear,
+normalization, ReLU, then linear, normalization, logistic), giving one
+gate vector per coordinate set.  A single gate op (pooling.gate) then
+multiplies the features by the mean over scales of those vectors,
+broadcast over their coordinate sets, so each position is recalibrated
+by context gathered at several spatial ranges without any full-size
+per-scale map being kept for backward.  A single regional scale with
+one cell collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 """
 
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import STRATEGIES, CoordinateSetSpec, broadcast_weights, coordinate_avg_pool
-from .tensor import (BNState, Tensor, add, batch_norm, global_avg_pool,
-                     linear, mul, relu, reshape, scale, sigmoid)
+from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights,
+                      coordinate_avg_pool, gate)
+from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
+                     relu, reshape, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,15 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def forward(self, pool_src: Tensor, training: bool) -> Tensor:
-        """Gate map of this scale: (N, d_in, H, W) -> (N, d_out, H, W) in (0, 1)."""
+        """Gate vectors of this scale: (N, d_in, H, W) -> (N, M, d_out) in (0, 1).
+
+        Row m holds the gate of coordinate set m (M = spec.vector_count);
+        broadcast_weights(v, self.spec) paints them onto the lattice.
+        """
         y = coordinate_avg_pool(pool_src, self.spec)
         n, m, d = y.shape
         v = _bottleneck(reshape(y, (n * m, d)), self.params, training)
-        return broadcast_weights(reshape(v, (n, m, v.shape[1])), self.spec)
+        return reshape(v, (n, m, v.shape[1]))
 
     def parameters(self):
         p = self.params
@@ -123,21 +130,16 @@ class MultiScaleRecalibration:
             for k, spec in zip(config.scales, config.specs(width, height))
         ]
 
-    def forward(self, gate: Tensor, training: bool,
+    def forward(self, x: Tensor, training: bool,
                 pool_src: Tensor | None = None) -> Tensor:
-        """Multiply gate by the mean of the per-scale gate maps.
+        """Multiply x by the mean of the per-scale gates.
 
-        pool_src defaults to the gated tensor itself.  Every scale's map
-        is computed before the first add, then the sum is scaled once.
+        pool_src defaults to x itself.  Every scale's gate vectors are
+        computed first, then one gate op combines them and multiplies.
         """
-        src = gate if pool_src is None else pool_src
-        maps = [s.forward(src, training) for s in self.scales]
-        total = maps[0]
-        for extra in maps[1:]:
-            total = add(total, extra)
-        if len(maps) > 1:
-            total = scale(total, 1.0 / len(maps))
-        return mul(gate, total)
+        src = x if pool_src is None else pool_src
+        return gate(x, [s.forward(src, training) for s in self.scales],
+                    [s.spec for s in self.scales])
 
     def parameters(self):
         return [entry for s in self.scales for entry in s.parameters()]

@@ -11,8 +11,10 @@ Entries cover every trainable parameter and every running
 normalization statistic, so a load fully restores eval-mode behavior.
 Loading matches entries by name and reports the first mismatch it
 finds (an unknown, duplicated or wrongly shaped entry, or a NaN or
-infinite value); strict mode also requires the file to cover the whole
-network.
+infinite value, before or after the cast to the network's dtype);
+strict mode also requires the file to cover the whole network.  Every
+entry is validated before any is copied, so a load that fails leaves
+the network exactly as it was.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ def load_weights(path: str, network, strict: bool = True) -> None:
         manifest[name] = shape
 
     targets = dict(_entries(network))
+    staged = []
     offset = 0
     for name, shape in manifest.items():
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -89,10 +92,16 @@ def load_weights(path: str, network, strict: bool = True) -> None:
         arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {name} holds non-finite values")
-        dst[...] = arr.astype(dst.dtype, copy=False)
+        with np.errstate(over="ignore"):
+            cast = arr.astype(dst.dtype, copy=False)
+        if not np.isfinite(cast).all():
+            raise ValueError(f"{path}: parameter {name} overflows the network's {dst.dtype}")
+        staged.append((dst, cast))
         offset += nbytes
     if offset != len(body):
         raise ValueError(f"{path}: {len(body) - offset} trailing payload bytes")
     if strict and targets:
         missing = next(iter(targets))
         raise ValueError(f"{path}: parameter {missing} missing from the weight file")
+    for dst, cast in staged:
+        dst[...] = cast

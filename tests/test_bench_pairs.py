@@ -1,0 +1,55 @@
+"""The paired-benchmark summarizer on synthetic run results."""
+
+import importlib.util
+import os
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(HERE, "..", "scripts", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+         {"name": "train_img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25}]
+
+
+def result(rss, img, failed=0, attempted=3):
+    return {"failed": failed, "attempted": attempted,
+            "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"},
+                        "train_img_per_s": {"value": img, "unit": "img/s"}}}
+
+
+def test_medians_quartiles_and_wins():
+    pairs = [(result(100, 10), result(90, 11)),
+             (result(102, 10), result(90, 10)),       # throughput tie
+             (result(104, 12), result(105, 11)),
+             (result(106, 14), result(92, 15))]
+    out = bench_pairs.summarize(pairs, SPECS)
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == {"median": 103, "q1": 101.5, "q3": 104.5}
+    assert rss["change"]["median"] == 91
+    assert (rss["wins"], rss["losses"], rss["pairs"]) == (3, 1, 4)
+    img = out["metrics"]["train_img_per_s"]
+    assert (img["wins"], img["losses"]) == (2, 1)   # the tie counts for neither
+    assert img["better"] == "higher" and img["unit"] == "img/s"
+
+
+def test_failed_and_attempted_are_summed_per_side():
+    pairs = [(result(1, 1, failed=1), result(1, 1)),
+             ({"failed": 1, "attempted": 1, "metrics": {}}, result(1, 1, attempted=4))]
+    out = bench_pairs.summarize(pairs, SPECS)
+    assert (out["failed_parent"], out["attempted_parent"]) == (2, 4)
+    assert (out["failed_change"], out["attempted_change"]) == (0, 7)
+    # a run without metrics leaves its pair out of the comparison
+    assert out["metrics"]["peak_rss_mb"]["pairs"] == 1
+
+
+def test_single_pair_spread_is_the_value():
+    out = bench_pairs.summarize([(result(5, 2), result(4, 3))], SPECS)
+    assert out["metrics"]["peak_rss_mb"]["change"] == {"median": 4, "q1": 4, "q3": 4}
+
+
+def test_metric_missing_everywhere_is_omitted():
+    out = bench_pairs.summarize([(result(5, 2), result(4, 3))],
+                                SPECS + [{"name": "setup_s", "unit": "s", "better": "lower"}])
+    assert "setup_s" not in out["metrics"]

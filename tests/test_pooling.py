@@ -5,7 +5,7 @@ import pytest
 
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
-                          coordinate_avg_pool, coordinate_set, rect_sum,
+                          coordinate_avg_pool, coordinate_set, gate, rect_sum,
                           region_avg_pool)
 from msar.tensor import Tensor
 
@@ -204,3 +204,48 @@ def test_pool_then_broadcast_roundtrip_is_cellwise_mean():
         cell = back.data[:, :, h1:h2 + 1, w1:w2 + 1]
         want = x[:, :, h1:h2 + 1, w1:w2 + 1].mean(axis=(2, 3), keepdims=True)
         assert np.allclose(cell, np.broadcast_to(want, cell.shape), atol=1e-12)
+
+
+def test_sliding_float32_box_means_track_float64():
+    # an offset map is where an uncentred float32 summed-area table loses
+    # digits: its running sums reach 3 * 112 * 112
+    spec = CoordinateSetSpec("sliding", 4, 112, 112)
+    x = np.random.default_rng(30).standard_normal((2, 4, 112, 112)) + 3.0
+    x32 = x.astype(np.float32)
+    got = coordinate_avg_pool(Tensor(x32), spec).data
+    want = coordinate_avg_pool(Tensor(x32.astype(np.float64)), spec).data
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-6
+
+
+def test_gate_is_input_times_mean_of_broadcast_maps():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((2, 3, 5, 7))
+    specs = [CoordinateSetSpec("regional", k, 7, 5) for k in (2, 3)]
+    vs = [rng.standard_normal((2, s.vector_count, 3)) for s in specs]
+    maps = [broadcast_weights(Tensor(v), s).data for v, s in zip(vs, specs)]
+    out = gate(Tensor(x), [Tensor(v) for v in vs], specs)
+    assert np.allclose(out.data, x * (maps[0] + maps[1]) / 2, atol=1e-15)
+
+
+def test_gate_gradients_both_strategies():
+    rng = np.random.default_rng(32)
+    for strategy, scales in (("regional", (2, 3)), ("sliding", (1, 2))):
+        specs = [CoordinateSetSpec(strategy, k, 7, 5) for k in scales]
+        x = Tensor(rng.standard_normal((2, 3, 5, 7)))
+        vs = [Tensor(rng.standard_normal((2, s.vector_count, 3))) for s in specs]
+        err = check_gradients(lambda: gate(x, vs, specs), [x] + vs, rng)
+        assert err < TOLERANCE
+
+
+def test_gate_rejects_mismatched_vectors():
+    spec = CoordinateSetSpec("regional", 2, 4, 4)
+    x = Tensor(np.zeros((1, 3, 4, 4)))
+    with pytest.raises(ValueError):
+        gate(x, [Tensor(np.zeros((1, 3, 3)))], [spec])       # 3 cells, not 4
+    with pytest.raises(ValueError):
+        gate(x, [Tensor(np.zeros((1, 4, 2)))], [spec])       # 2 channels, not 3
+    with pytest.raises(ValueError):
+        gate(x, [Tensor(np.zeros((1, 4, 3)))], [CoordinateSetSpec("regional", 2, 5, 5)])
+    with pytest.raises(ValueError):
+        gate(x, [], [])

@@ -1,14 +1,18 @@
 """Recalibration operator: oracle forward, gating bounds, degeneracies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from msar.blocks import MsarSettings, build_network, resnet_cifar
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.pooling import CoordinateSetSpec, coordinate_set
+from msar.pooling import CoordinateSetSpec, broadcast_weights, coordinate_set
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
                               RecalibrationParams, ScaleRecalibration,
                               se_reference)
-from msar.tensor import Tensor
+from msar.tensor import (Tape, Tensor, add, backward, cross_entropy, mul,
+                         scale, sum_all)
 
 
 def naive_recalibration(x, params, spec):
@@ -64,12 +68,30 @@ def fresh_scale(spec, d, reduced, seed):
     return ScaleRecalibration("s", spec, d, d, reduced, np.random.default_rng(seed))
 
 
+def scale_map(s, src, training):
+    """One scale's gate vectors painted onto the lattice."""
+    return broadcast_weights(s.forward(src, training), s.spec)
+
+
+def composed_site(module, x, training, pool_src=None):
+    """A site as separate taped ops: a broadcast map per scale, the adds,
+    the 1/S scale, then the multiply (the path the gate op replaces)."""
+    src = x if pool_src is None else pool_src
+    maps = [scale_map(s, src, training) for s in module.scales]
+    total = maps[0]
+    for extra in maps[1:]:
+        total = add(total, extra)
+    if len(maps) > 1:
+        total = scale(total, 1.0 / len(maps))
+    return mul(x, total)
+
+
 def test_single_scale_matches_naive_oracle():
     rng = np.random.default_rng(31)
     for strategy, k in (("regional", 2), ("regional", 3), ("sliding", 2)):
         spec = CoordinateSetSpec(strategy, k, 6, 6)
         x = rng.standard_normal((3, 4, 6, 6))
-        got = fresh_scale(spec, 4, 2, seed=k).forward(Tensor(x), training=True)
+        got = scale_map(fresh_scale(spec, 4, 2, seed=k), Tensor(x), training=True)
         want = naive_recalibration(x, fresh_params(4, 2, seed=k), spec)
         assert np.allclose(got.data, want, atol=1e-10)
 
@@ -86,7 +108,7 @@ def test_regional_weights_constant_within_cells():
     rng = np.random.default_rng(33)
     spec = CoordinateSetSpec("regional", 2, 6, 6)
     x = rng.standard_normal((2, 3, 6, 6))
-    z = fresh_scale(spec, 3, 2, seed=9).forward(Tensor(x), training=True)
+    z = scale_map(fresh_scale(spec, 3, 2, seed=9), Tensor(x), training=True)
     rects = {coordinate_set(spec, q, p)[0] for p in range(6) for q in range(6)}
     for h1, h2, w1, w2 in rects:
         cell = z.data[:, :, h1:h2 + 1, w1:w2 + 1]
@@ -102,7 +124,7 @@ def test_multi_scale_average_composes_single_scales():
                                      rng=np.random.default_rng(7))
     x = rng.standard_normal((2, 4, 8, 8))
     out = module.forward(Tensor(x), training=True)
-    parts = [s.forward(Tensor(x), True).data for s in module.scales]
+    parts = [scale_map(s, Tensor(x), True).data for s in module.scales]
     want = x * (parts[0] + parts[1]) / 2.0
     assert np.allclose(out.data, want, atol=1e-12)
 
@@ -174,7 +196,7 @@ def test_separate_pool_source():
     gate = Tensor(rng.standard_normal((2, 3, 6, 6)))
     src = Tensor(rng.standard_normal((2, 6, 6, 6)))
     out = module.forward(gate, training=True, pool_src=src)
-    weights = module.scales[0].forward(src, True)
+    weights = scale_map(module.scales[0], src, True)
     assert np.allclose(out.data, gate.data * weights.data, atol=1e-12)
 
 
@@ -199,3 +221,94 @@ def test_parameter_registry_names_and_kinds():
     kinds = {k for _, _, k in module.parameters()}
     assert kinds == {"weight", "norm"}
     assert len(module.norm_states()) == 4
+
+
+# -- the gate op against the composed site ----------------------------------
+
+GEOMETRIES = [
+    # (scales, strategy, width, height)
+    ((1, 2, 4), "regional", 8, 8),
+    ((2, 3), "regional", 7, 5),       # cell edges that do not nest
+    ((1, 3, 5), "regional", 11, 9),
+    ((1, 2), "sliding", 8, 8),
+    ((1,), "regional", 6, 6),
+]
+
+
+def run_site(forward, geometry, training, d_in=4, d_out=4, separate=False):
+    """Forward and backward of one freshly built site; every output bitwise."""
+    scales, strategy, width, height = geometry
+    module = MultiScaleRecalibration(
+        "m", MultiScaleConfig(scales=scales, strategy=strategy), d_in, d_out,
+        width, height, reduced=2, rng=np.random.default_rng(17))
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((3, d_out, height, width)))
+    src = Tensor(rng.standard_normal((3, d_in, height, width))) if separate else None
+    weight = Tensor(rng.standard_normal(x.shape))
+    with Tape() as tape:
+        out = forward(module, x, training, src)
+        loss = sum_all(mul(out, weight))
+    backward(tape, loss)
+    arrays = [out.data, x.grad] + ([src.grad] if separate else [])
+    arrays += [t.grad for _, t, _ in module.parameters()]
+    arrays += [a for _, st in module.norm_states() for a in (st.mean, st.var)]
+    return arrays
+
+
+def fused(module, x, training, src):
+    return module.forward(x, training, pool_src=src)
+
+
+def composed(module, x, training, src):
+    return composed_site(module, x, training, pool_src=src)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: f"{g[1]}{g[0]}-{g[2]}x{g[3]}")
+def test_gate_bitwise_matches_composed_site(geometry, training):
+    got = run_site(fused, geometry, training)
+    want = run_site(composed, geometry, training)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_bitwise_with_separate_pool_source(training):
+    # dense-step style: pool the wider accumulated input, gate the new features
+    for geometry in GEOMETRIES[:2]:
+        got = run_site(fused, geometry, training, d_in=6, d_out=3, separate=True)
+        want = run_site(composed, geometry, training, d_in=6, d_out=3, separate=True)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_site_tape_holds_no_full_size_gate_maps():
+    # the tape keeps the gated output and small gate vectors, nothing per scale
+    module = MultiScaleRecalibration(
+        "m", MultiScaleConfig(scales=(1, 2, 4), strategy="regional"), 16, 16,
+        32, 32, reduced=4, rng=np.random.default_rng(19))
+    x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            module.forward(x, training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 0
+    assert held <= 1.5 * x.data.nbytes
+
+
+def test_float32_sliding_network_stays_float32():
+    spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy="sliding"))
+    net = build_network(spec, seed=21, dtype=np.float32)
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((2, 3, 32, 32)), dtype=np.float32)
+    with Tape() as tape:
+        loss = cross_entropy(net.forward(x, training=True), np.array([1, 7]))
+    backward(tape, loss)
+    wide = [name for name, out, _ in tape._entries if out.dtype != np.float32]
+    assert wide == []
+    for name, t, _ in net.parameters():
+        assert t.grad is not None and t.grad.dtype == np.float32, name

@@ -222,6 +222,27 @@ def test_sigmoid_known_value():
     assert out.data[0] == pytest.approx(0.9999546021312976, abs=1e-15)
 
 
+def three_exp_sigmoid(d):
+    """The logistic as first written, one exp per use: the bitwise oracle."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bitwise_matches_three_exp_oracle(dtype):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 88.7, -88.7, 1e-300,
+             info.tiny, -info.tiny, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+    rng = np.random.default_rng(16)
+    d = np.concatenate([np.array(edges), rng.standard_normal(50_000) * 20,
+                        rng.uniform(-800, 800, 50_000)]).astype(dtype)
+    with np.errstate(over="ignore", under="ignore"):
+        want = three_exp_sigmoid(d)
+        got = sigmoid(Tensor(d)).data
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_relu_and_sigmoid_ranges():
     rng = np.random.default_rng(15)
     x = rng.standard_normal(100)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from msar.blocks import NetworkSpec, StageSpec, build_network
+from msar.cli import main
+from msar.data import write_synthetic
 from msar.tensor import Tensor
 from msar.training import (CURVE_HEADER, NesterovSGD, TrainingDiverged,
                            TrainSettings, evaluate, lr_at, render_curve, train)
@@ -188,3 +190,33 @@ def test_curve_rendering_roundtrips_floats():
     parts = line.split(",")
     assert float(parts[1]) == 1.0 / 3.0  # repr preserves the exact double
     assert parts[0] == "1"
+
+
+@pytest.mark.parametrize("strategy", ["regional", "sliding"])
+def test_float32_training_is_bitwise_deterministic(tmp_path, strategy):
+    # acceptance criterion 8's run at run.precision = 32, for both strategies
+    train_bin = tmp_path / "train.bin"
+    test_bin = tmp_path / "test.bin"
+    write_synthetic(str(train_bin), per_class=50, classes=(0, 1), seed=23)
+    write_synthetic(str(test_bin), per_class=10, classes=(0, 1), seed=24)
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("\n".join([
+        "network.stages = 8:1:2,16:1:2",
+        "network.stem_width = 8",
+        "network.classes = 2",
+        "msar.enabled = on",
+        f"msar.strategy = {strategy}",
+        "optimizer.drops =",
+        f"data.train_path = {train_bin}",
+        f"data.test_path = {test_bin}",
+        "run.epochs = 3",
+        "run.batch_size = 20",
+        "run.precision = 32",
+        "run.log_timing = off",
+    ]) + "\n")
+    assert main(["train", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["train", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    a = (tmp_path / "a" / "curve.csv").read_bytes()
+    b = (tmp_path / "b" / "curve.csv").read_bytes()
+    assert a == b
+    assert len(a.splitlines()) == 4

@@ -155,3 +155,70 @@ def test_non_finite_payload_rejected(tmp_path, bad):
     net = build_network(SPEC, seed=0)
     with pytest.raises(ValueError, match="head.fc.bias holds non-finite"):
         load_weights(path, net, strict=False)
+
+
+def snapshot(network):
+    """Copies of every parameter and running statistic, by entry name."""
+    out = {n: t.data.copy() for n, t, _ in network.parameters()}
+    for n, s in network.norm_states():
+        out[f"{n}.running_mean"] = s.mean.copy()
+        out[f"{n}.running_var"] = s.var.copy()
+    return out
+
+
+def assert_unchanged(network, before):
+    after = snapshot(network)
+    assert after.keys() == before.keys()
+    for name, arr in before.items():
+        assert after[name].tobytes() == arr.tobytes(), name
+
+
+def test_failed_load_leaves_network_untouched(tmp_path):
+    # the first entry is valid and would overwrite stem.norm.gamma
+    path = str(tmp_path / "w.bin")
+    write_raw(path, [("stem.norm.gamma", np.full(4, 7.0)),
+                     ("head.fc.bias", np.array([0.5, np.nan]))])
+    net = build_network(SPEC, seed=0)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="head.fc.bias"):
+        load_weights(path, net, strict=False)
+    assert_unchanged(net, before)
+
+
+def test_trailing_bytes_leave_network_untouched(tmp_path):
+    src = build_network(SPEC, seed=1)
+    drift(src, 12)
+    path = tmp_path / "w.bin"
+    save_weights(str(path), src)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    net = build_network(SPEC, seed=2)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="trailing"):
+        load_weights(str(path), net)
+    assert_unchanged(net, before)
+
+
+def test_strict_missing_leaves_network_untouched(tmp_path):
+    base_spec = NetworkSpec(name="toy", family="residual", input_size=8,
+                            classes=2, stem_width=4,
+                            stages=(StageSpec(4, 1, 1),))
+    donor = build_network(base_spec, seed=3)
+    drift(donor, 13)
+    path = str(tmp_path / "w.bin")
+    save_weights(path, donor)
+    net = build_network(SPEC, seed=4)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="missing from the weight file"):
+        load_weights(path, net)
+    assert_unchanged(net, before)
+
+
+def test_float32_overflow_rejected_by_name(tmp_path):
+    # finite in the file's float64, infinite once cast to float32
+    path = str(tmp_path / "w.bin")
+    write_raw(path, [("head.fc.bias", np.array([0.5, 1e300]))])
+    net = build_network(SPEC, seed=0, dtype=np.float32)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="head.fc.bias"):
+        load_weights(path, net, strict=False)
+    assert_unchanged(net, before)
