@@ -1,14 +1,14 @@
 """Alternating parent/change benchmark pairs, summarized into BENCH_<label>.json.
 
-Usage, from the root of the change's checkout:
+Usage:
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --label NAME \
-        [--pairs 10] [--seed 5000] [--workload W ...]
+    python3 scripts/bench_pairs.py --parent DIR --label NAME [--pairs 10] [--seed 5000]
 
-Pair i runs `python3 perfbench/run.py --workload W --seed SEED+i
---seconds T --trace 0` once in each tree, one run at a time, the parent
-first in even pairs and the change first in odd ones; T is
-BENCHMARK.json's run_seconds.  BENCH_<label>.json
+For every workload W in BENCHMARK.json, pair i runs `python3
+perfbench/run.py --workload W --seed SEED+i --seconds T --trace 0` once
+in the parent checkout DIR and once in the checkout holding this script,
+one run at a time, the parent first in even pairs and the change first
+in odd ones; T is BENCHMARK.json's run_seconds.  BENCH_<label>.json
 then holds, per workload and end-to-end metric, both sides' medians and
 quartiles, the pairs the change won and lost (ties count for neither),
 failed and attempted checks, and the machine line of the runs.
@@ -72,21 +72,18 @@ def summarize(pairs, metric_specs):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
-    p.add_argument("--change", default=ROOT)
     p.add_argument("--label", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=5000)
-    p.add_argument("--workload", action="append")
     args = p.parse_args(argv)
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     report = {"label": args.label, "pairs": args.pairs, "seed": args.seed,
               "seconds": bench["run_seconds"], "machine": None, "workloads": {}}
-    for workload in workloads:
+    trees = dict(zip(SIDES, (args.parent, ROOT)))
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for i in range(args.pairs):
-            trees = dict(zip(SIDES, (args.parent, args.change)))
             pair = {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 pair[side], machine = run_once(trees[side], workload, args.seed + i,
@@ -95,7 +92,7 @@ def main(argv=None):
             pairs.append((pair["parent"], pair["change"]))
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
         report["workloads"][workload] = summarize(pairs, bench["end_to_end"])
-    path = os.path.join(args.change, f"BENCH_{args.label}.json")
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -281,16 +281,8 @@ def gate(x: Tensor, vs, specs) -> Tensor:
     gives x og * mean, and gives each vs[s] the cell sums of og * x / S
     over its own cells (for sliding, og * x / S itself).
     """
-    n, d, height, width = x.shape
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
-    for v, spec in zip(vs, specs):
-        if (spec.height, spec.width) != (height, width):
-            raise ValueError(f"gate: map {height}x{width} does not match "
-                             f"spec lattice {spec.height}x{spec.width}")
-        if v.shape != (n, spec.vector_count, d):
-            raise ValueError(f"gate: vectors of shape {v.shape} but spec needs "
-                             f"({n}, {spec.vector_count}, {d})")
     out = Tensor(x.data * _gate_map([v.data for v in vs], specs))
 
     def bwd(og):

