@@ -221,6 +221,11 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     x13 = t(2, 3, 5, 7)
     vs = [t(2, s.vector_count, 3) for s in gs]
     rows.append(("gate", lambda: gate(x13, vs, gs), [x13] + vs))
+
+    # the projection shortcut's shape: reads one of the four stride phases
+    x14, k14 = t(2, 4, 7, 7), t(6, 4, 1, 1)
+    rows.append(("conv2d[1x1,stride2]",
+                 lambda: conv2d(x14, k14, stride=2, pad=0), [x14, k14]))
     return rows
 
 

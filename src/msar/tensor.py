@@ -11,11 +11,14 @@ produced (everything but the loss) are released as soon as their
 closure has consumed them, so after backward() only the loss and the
 leaves (parameters, inputs) hold a .grad.
 
-Feature maps are laid out (N, D, H, W): batch, channels, height, width.
+Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
-boundaries.  Convolution and max pooling read their windows through a
-strided view of the (padded) input and contract it with tensordot, so
-nothing kh*kw times the size of the input outlives the op.  All
+boundaries.  Convolution copies its input once into zero-padded,
+channel-major stride phases and runs one small GEMM per kernel tap over
+shifted column ranges of them, so no array kh*kw times the size of the
+input is ever built; its output is an (N, F, H, W) view of channel-major
+(F, N, H, W) memory, and elementwise ops keep that layout.  Max pooling
+reads its windows through a strided view of the padded input.  All
 reductions use numpy's fixed evaluation order, so a forward pass is
 bitwise deterministic for identical inputs.
 """
@@ -284,13 +287,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (strided window views) and pooling
+# convolution (per-tap GEMMs on padded channel-major phases) and pooling
 # ---------------------------------------------------------------------------
 
 def _pad_hw(a, pad, value=0.0):
-    """Pad the two spatial axes by pad on each side; a negative pad crops."""
-    if pad < 0:
-        return a[:, :, -pad:a.shape[2] + pad, -pad:a.shape[3] + pad]
+    """Pad the two spatial axes by pad on each side."""
     if pad == 0:
         return a
     return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
@@ -298,18 +299,43 @@ def _pad_hw(a, pad, value=0.0):
 
 def _windows(img, kh, kw, stride):
     """(N, C, oh, ow, kh, kw) view of img's kh x kw windows at the given
-    stride.  The view copies nothing; ops that need a contiguous layout
-    (tensordot, reshape) copy it transiently, and no closure keeps it."""
+    stride.  The view copies nothing."""
     view = np.lib.stride_tricks.sliding_window_view(img, (kh, kw), axis=(2, 3))
     return view[:, :, ::stride, ::stride] if stride > 1 else view
+
+
+# Below this many kernel rows (C * kh * kw: 27 for an RGB 3x3 stem), one
+# GEMM against the taps' stacked reads beats kh * kw GEMMs of depth C.
+_STACKED_ROWS = 32
+
+
+def _phase_axis(u, size, grid, stride, pad):
+    """Where phase u of one padded axis meets the input, as (grid slice,
+    input slice): grid index a holds padded position stride * a + u,
+    which is input position stride * a + u - pad."""
+    a0 = max(0, -((u - pad) // stride))
+    first = stride * a0 + u - pad
+    m = max(0, min(grid - a0, (size - 1 - first) // stride + 1))
+    return slice(a0, a0 + m), slice(first, first + stride * m, stride)
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), kernel (F, C, kh, kw), odd kh=kw.
 
-    Each product contracts the kernel (or the output gradient) against a
-    window view.  The backward closure keeps only x and k and pads x
-    again when it runs, so the tape holds no per-layer copy of the input.
+    The input is copied once into zero-padded, channel-major stride
+    phases, each (C, N * hq * wq) on the output grid widened by the
+    kernel's reach; at stride 1 there is one phase, and only phases some
+    tap reads are built (one, a subsample, for a 1x1 stride-2 kernel).
+    Tap (i, j) is then the contiguous column range at offset
+    (i // stride) * wq + j // stride of phase (i % stride, j % stride),
+    so the forward sums one (F, C) @ (C, cols) GEMM per tap and crops the
+    grid to (oh, ow).  Backward places the output gradient on the same
+    grid: the kernel gradient is one GEMM per tap against the same
+    column ranges, and the input gradient is the adjoint, each phase
+    column summing its taps' K^T @ og at minus the tap's offset.  One
+    path serves every stride.  No array kh * kw times the input is
+    built, and the closure keeps only x and k, splitting x again when it
+    runs.  The output is an (N, F, oh, ow) view of (F, N, oh, ow) memory.
     """
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError(f"conv2d: need 4-D input and kernel, got {x.shape}, {k.shape}")
@@ -319,34 +345,87 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: input has {c} channels but kernel expects {kc}")
     if kh != kw or kh % 2 == 0:
         raise ValueError(f"conv2d: kernel must be square with odd side, got {kh}x{kw}")
+    if stride < 1 or pad < 0:
+        raise ValueError(f"conv2d: need stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ValueError(f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    # contracting the kernel first makes tensordot copy the windows in
-    # (C, kh, kw, N, oh, ow) order, so its innermost loop runs along rows
-    # of the input; the other operand order copies far more slowly
-    win = _windows(_pad_hw(x.data, pad), kh, kw, stride)
-    out = Tensor(np.tensordot(k.data, win, axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3))
+    s = stride
+    oh, ow = (h + 2 * pad - kh) // s + 1, (w + 2 * pad - kw) // s + 1
+    hq, wq = oh + (kh - 1) // s, ow + (kw - 1) // s
+    span = n * hq * wq
+    # grid columns whose every tap stays inside the buffer; they include
+    # every output position, and the rest of the grid is cropped away
+    reach = (kh - 1) // s * wq + (kw - 1) // s
+    cols = span - reach
+    taps = [(i, j, (i % s, j % s), i // s * wq + j // s) for i in range(kh) for j in range(kw)]
+    phases = {p: (_phase_axis(p[0], h, hq, s, pad), _phase_axis(p[1], w, wq, s, pad))
+              for _i, _j, p, _off in taps}
+    dt = np.result_type(x.data, k.data)
+
+    def split():
+        xc = x.data.transpose(1, 0, 2, 3)
+        bufs = {}
+        for p, ((ga, ia), (gb, ib)) in phases.items():
+            buf = np.zeros((c, n, hq, wq), dt)
+            buf[:, :, ga, gb] = xc[:, :, ia, ib]
+            bufs[p] = buf.reshape(c, span)
+        return bufs
+
+    def taps_of(kernel):
+        return np.ascontiguousarray(kernel.transpose(2, 3, 0, 1), dtype=dt)
+
+    bufs = split()
+    y = np.empty((f, span), dt)
+    if len(taps) > 1 and c * len(taps) <= _STACKED_ROWS:
+        # a reduction this short starves each per-tap GEMM: stack the
+        # taps' shifted reads into one small (kh * kw * C, cols) matrix
+        stacked = np.concatenate([bufs[p][:, off:off + cols] for _i, _j, p, off in taps])
+        np.matmul(k.data.transpose(0, 2, 3, 1).reshape(f, -1), stacked, out=y[:, :cols])
+        del stacked
+    else:
+        kt = taps_of(k.data)
+        part = np.empty((f, cols), dt)
+        for t, (i, j, p, off) in enumerate(taps):
+            src = bufs[p][:, off:off + cols]
+            if t == 0:
+                np.matmul(kt[i, j], src, out=y[:, :cols])
+            else:
+                np.matmul(kt[i, j], src, out=part)
+                y[:, :cols] += part
+        del part
+    del bufs
+    out = Tensor(np.ascontiguousarray(y.reshape(f, n, hq, wq)[:, :, :oh, :ow]).transpose(1, 0, 2, 3))
 
     def bwd(og):
-        img = _pad_hw(x.data, pad)
+        # og on the output grid, behind a margin of `reach` zero columns so
+        # that every tap's shifted read of it stays inside the buffer
+        gm = np.zeros((f, reach + span), dt)
+        gm[:, reach:].reshape(f, n, hq, wq)[:, :, :oh, :ow] = og.transpose(1, 0, 2, 3)
+        g = gm[:, reach:reach + cols]
+        bufs = split()
+        dk = np.empty((kh, kw, f, c), dt)
+        for i, j, p, off in taps:
+            np.matmul(g, bufs[p][:, off:off + cols].T, out=dk[i, j])
+        del bufs
         k.ensure_grad()
-        k.grad += np.tensordot(_windows(img, kh, kw, stride), og,
-                               axes=([0, 2, 3], [0, 2, 3])).transpose(3, 0, 1, 2)
+        k.grad += dk.transpose(2, 3, 0, 1)
+        # the adjoint of the forward's shifted reads: phase column q takes
+        # tap t's K^T @ og from output column q - off_t
+        kt = taps_of(k.data)
+        dbufs = {}
+        part = np.empty((c, span), dt)
+        for i, j, p, off in taps:
+            src = gm[:, reach - off:reach - off + span]
+            if p not in dbufs:
+                dbufs[p] = np.matmul(kt[i, j].T, src)
+            else:
+                np.matmul(kt[i, j].T, src, out=part)
+                dbufs[p] += part
+        del part, gm, g
         x.ensure_grad()
-        if stride == 1:
-            # dx is og, padded to full size, correlated with the flipped
-            # kernel; padding by kh - 1 - pad lands directly on x's extent
-            ogp = _pad_hw(og, kh - 1 - pad)
-            x.grad += np.tensordot(k.data[:, :, ::-1, ::-1], _windows(ogp, kh, kw, 1),
-                                   axes=([0, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
-            return
-        oh, ow = og.shape[2:]
-        dimg = np.zeros(img.shape, dtype=np.result_type(og, k.data))
-        for i in range(kh):
-            for j in range(kw):
-                dimg[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                    np.tensordot(k.data[:, :, i, j], og, axes=([0], [1])).transpose(1, 0, 2, 3)
-        x.grad += _pad_hw(dimg, -pad)
+        xg = x.grad.transpose(1, 0, 2, 3)
+        for p, ((ga, ia), (gb, ib)) in phases.items():
+            xg[:, :, ia, ib] += dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
 
     return _emit("conv2d", out, bwd)
 

@@ -141,6 +141,113 @@ def test_conv2d_float32_matches_im2col_oracle(case):
         assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
+def _windows(img, kh, kw, stride):
+    view = np.lib.stride_tricks.sliding_window_view(img, (kh, kw), axis=(2, 3))
+    return view[:, :, ::stride, ::stride]
+
+
+def _pad(a, pad):
+    """Pad both spatial axes by pad; a negative pad crops."""
+    if pad < 0:
+        return a[:, :, -pad:a.shape[2] + pad, -pad:a.shape[3] + pad]
+    return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+def window_conv2d(x, k, stride, pad, og):
+    """The window-view convolution conv2d used before per-tap GEMMs, kept as
+    the oracle: returns (output, d input, d kernel) for output gradient og.
+    It contracts strided window views with tensordot; the stride-1 input
+    gradient correlates the padded output gradient with the flipped
+    kernel, and stride > 1 scatter-adds one tap at a time."""
+    f, _, kh, kw = k.shape
+    img = _pad(x, pad)
+    out = np.tensordot(k, _windows(img, kh, kw, stride),
+                       axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
+    dk = np.tensordot(_windows(img, kh, kw, stride), og,
+                      axes=([0, 2, 3], [0, 2, 3])).transpose(3, 0, 1, 2)
+    if stride == 1:
+        dx = np.tensordot(k[:, :, ::-1, ::-1], _windows(_pad(og, kh - 1 - pad), kh, kw, 1),
+                          axes=([0, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
+        return out, dx, dk
+    oh, ow = og.shape[2:]
+    dimg = np.zeros(img.shape, dtype=np.result_type(og, k))
+    for i in range(kh):
+        for j in range(kw):
+            dimg[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                np.tensordot(k[:, :, i, j], og, axes=([0], [1])).transpose(1, 0, 2, 3)
+    return out, _pad(dimg, -pad), dk
+
+
+# the benchmark networks' convolution shapes at batch 2:
+# (n, c, f, h, w, kernel, stride, pad)
+LAYER_CASES = {
+    "stem-3to16-k3s1": (2, 3, 16, 32, 32, 3, 1, 1),
+    "stage0-16to16-k3s1": (2, 16, 16, 32, 32, 3, 1, 1),
+    "down-16to32-k3s2": (2, 16, 32, 32, 32, 3, 2, 1),
+    "project-16to32-k1s2": (2, 16, 32, 32, 32, 1, 2, 0),
+    "stage2-64to64-k3s1": (2, 64, 64, 8, 8, 3, 1, 1),
+    "dense-48to12-k3s1": (2, 48, 12, 32, 32, 3, 1, 1),
+    "dense-160to48-k1s1": (2, 160, 48, 16, 16, 1, 1, 0),
+    "stem7-3to16-k7s2p3": (2, 3, 16, 32, 32, 7, 2, 3),
+}
+
+
+def _channel_major(a):
+    """a with the same values, stored (C, N, H, W) like a conv2d output."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+@pytest.mark.parametrize("case", list(LAYER_CASES.values()), ids=list(LAYER_CASES))
+def test_conv2d_matches_window_oracle_on_layer_shapes(case, layout):
+    stride, pad = case[-2:]
+    x, k, og = _conv_case(case)
+    if layout == "channel-major":
+        x, og = _channel_major(x), _channel_major(og)
+    want = window_conv2d(x, k, stride, pad, og)
+    for got, ref in zip(_taped_conv2d(x, k, stride, pad, og), want):
+        assert got.shape == ref.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    got32 = _taped_conv2d(x.astype(np.float32), k.astype(np.float32), stride, pad,
+                          og.astype(np.float32))
+    for g, ref in zip(got32, want):
+        assert g.dtype == np.float32
+        assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_conv2d_rejects_bad_stride_or_pad():
+    # pad=-1 used to crop silently (a 2x2 output here); stride 0 and -1
+    # used to run as stride 1
+    x = Tensor(np.zeros((1, 2, 6, 6)))
+    k = Tensor(np.zeros((3, 2, 3, 3)))
+    for stride, pad in [(1, -1), (0, 1), (-1, 1)]:
+        with pytest.raises(ValueError, match="stride"):
+            conv2d(x, k, stride=stride, pad=pad)
+
+
+def test_conv2d_transient_memory():
+    # window copies made the forward peak 11x and the backward 13x the
+    # input; the per-tap GEMMs need a few padded input-sized buffers
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((32, 16, 32, 32)))
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)))
+    og = rng.standard_normal((32, 16, 32, 32))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            conv2d(x, k, stride=1, pad=1)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        (_name, _out, bwd), = tape._entries
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        bwd(og)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= 5 * x.data.nbytes
+    assert backward_peak <= 8 * x.data.nbytes
+
+
 def test_conv2d_tape_holds_no_input_copies():
     # im2col kept a kh*kw-times-the-input matrix per layer (10x the input
     # here); the tape may hold the output plus at most the padded input
