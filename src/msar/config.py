@@ -13,20 +13,14 @@ from dataclasses import dataclass
 from .blocks import (FAMILIES, STAGE_MODES, MsarSettings, NetworkSpec,
                      StageSpec, densenet_cifar, resnet_cifar, resnet_ilsvrc,
                      resnext50_ilsvrc)
+from .data import _distinct_classes
 from .pooling import STRATEGIES
+from .recalibrate import MultiScaleConfig
 from .training import TrainSettings
 
 PRESETS = ("resnet20", "resnet32", "resnet44", "resnet56", "resnet110",
            "densenet100", "resnet18-ilsvrc", "resnet34-ilsvrc",
            "resnext50-ilsvrc")
-
-
-def _parse_int(v):
-    return int(v)
-
-
-def _parse_float(v):
-    return float(v)
 
 
 def _parse_bool(v):
@@ -35,10 +29,6 @@ def _parse_bool(v):
     if v == "off":
         return False
     raise ValueError(f"expected on or off, got {v!r}")
-
-
-def _parse_str(v):
-    return v
 
 
 def _parse_ints(v):
@@ -94,50 +84,40 @@ def _at_least_two(v):
         raise ValueError(f"must be >= 2, got {v}")
 
 
-def _valid_scales(v):
-    if not v:
-        raise ValueError("scale set must not be empty")
-    if any(k < 1 for k in v):
-        raise ValueError("scale factors must be >= 1")
-    if len(set(v)) != len(v):
-        raise ValueError("duplicate scale factors")
-
-
 def _valid_stages(v):
     for w, b, s in v:
-        if w < 1 or b < 1 or s not in (1, 2):
-            raise ValueError(f"invalid stage {w}:{b}:{s}")
+        StageSpec(w, b, s)
 
 
-# key -> (default, parser, renderer, validator or None)
+# key -> (parser, renderer, validator or None); defaults live in ExperimentConfig
 SCHEMA = {
-    "network.preset": ("", _parse_str, str, _one_of(("",) + PRESETS)),
-    "network.kind": ("residual", _parse_str, str, _one_of(FAMILIES)),
-    "network.depth": (0, _parse_int, str, _non_negative),
-    "network.stages": ((), _parse_stages, _render_stages, _valid_stages),
-    "network.stem_width": (0, _parse_int, str, _non_negative),
-    "network.growth": (12, _parse_int, str, _positive),
-    "network.classes": (10, _parse_int, str, _at_least_two),
-    "network.input_size": (32, _parse_int, str, _positive),
-    "msar.enabled": (False, _parse_bool, _render_bool, None),
-    "msar.strategy": ("regional", _parse_str, str, _one_of(STRATEGIES)),
-    "msar.scales": ((1, 2, 4), _parse_ints, _render_ints, _valid_scales),
-    "msar.stage_mode": ("multi", _parse_str, str, _one_of(STAGE_MODES)),
-    "optimizer.lr": (0.1, _parse_float, repr, _positive),
-    "optimizer.momentum": (0.9, _parse_float, repr, _non_negative),
-    "optimizer.weight_decay": (1e-4, _parse_float, repr, _non_negative),
-    "optimizer.drops": ((80, 120), _parse_ints, _render_ints, None),
-    "data.format": ("cifar10", _parse_str, str, _one_of(("cifar10", "cifar100"))),
-    "data.train_path": ("", _parse_str, str, None),
-    "data.test_path": ("", _parse_str, str, None),
-    "data.classes": ((), _parse_ints, _render_ints, None),
-    "data.limit": (0, _parse_int, str, _non_negative),
-    "run.seed": (1, _parse_int, str, _non_negative),
-    "run.epochs": (30, _parse_int, str, _positive),
-    "run.batch_size": (128, _parse_int, str, _positive),
-    "run.out": ("runs", _parse_str, str, None),
-    "run.precision": (64, _parse_int, str, _one_of((32, 64))),
-    "run.log_timing": (True, _parse_bool, _render_bool, None),
+    "network.preset": (str, str, _one_of(("",) + PRESETS)),
+    "network.kind": (str, str, _one_of(FAMILIES)),
+    "network.depth": (int, str, _non_negative),
+    "network.stages": (_parse_stages, _render_stages, _valid_stages),
+    "network.stem_width": (int, str, _non_negative),
+    "network.growth": (int, str, _positive),
+    "network.classes": (int, str, _at_least_two),
+    "network.input_size": (int, str, _positive),
+    "msar.enabled": (_parse_bool, _render_bool, None),
+    "msar.strategy": (str, str, _one_of(STRATEGIES)),
+    "msar.scales": (_parse_ints, _render_ints, MultiScaleConfig),
+    "msar.stage_mode": (str, str, _one_of(STAGE_MODES)),
+    "optimizer.lr": (float, repr, _positive),
+    "optimizer.momentum": (float, repr, _non_negative),
+    "optimizer.weight_decay": (float, repr, _non_negative),
+    "optimizer.drops": (_parse_ints, _render_ints, None),
+    "data.format": (str, str, _one_of(("cifar10", "cifar100"))),
+    "data.train_path": (str, str, None),
+    "data.test_path": (str, str, None),
+    "data.classes": (_parse_ints, _render_ints, _distinct_classes),
+    "data.limit": (int, str, _non_negative),
+    "run.seed": (int, str, _non_negative),
+    "run.epochs": (int, str, _positive),
+    "run.batch_size": (int, str, _positive),
+    "run.out": (str, str, None),
+    "run.precision": (int, str, _one_of((32, 64))),
+    "run.log_timing": (_parse_bool, _render_bool, None),
 }
 
 
@@ -193,7 +173,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        _, parser, _, validator = SCHEMA[key]
+        parser, _, validator = SCHEMA[key]
         try:
             parsed = parser(value)
             if validator is not None:
@@ -208,7 +188,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form covering every key in schema order."""
     lines = []
     section = None
-    for key, (_, _, renderer, _) in SCHEMA.items():
+    for key, (_, renderer, _) in SCHEMA.items():
         this_section = key.split(".", 1)[0]
         if this_section != section:
             if section is not None:

@@ -28,12 +28,18 @@ FORMATS = {
 }
 
 
+def _distinct_classes(classes) -> None:
+    twice = [c for i, c in enumerate(classes) if c in classes[:i]]
+    if twice:
+        raise ValueError(f"class {twice[0]} is selected more than once")
+
+
 def load_records(path: str, fmt: str = "cifar10", classes=None, limit: int = 0):
     """Read a record file into (images uint8 (N,3,32,32), labels int64 (N,)).
 
-    classes: optional sequence of label values to keep; kept records are
-    relabeled to their index in the sequence.  limit: keep at most this
-    many records after filtering (0 = all).
+    classes: optional sequence of distinct label values to keep; kept
+    records are relabeled to their index in the sequence.  limit: keep at
+    most this many records after filtering (0 = all).
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}; expected one of {sorted(FORMATS)}")
@@ -57,6 +63,7 @@ def load_records(path: str, fmt: str = "cifar10", classes=None, limit: int = 0):
     images = rows[:, label_bytes:].reshape(-1, *IMAGE_SHAPE)
     if classes is not None:
         classes = list(classes)
+        _distinct_classes(classes)
         remap = {c: i for i, c in enumerate(classes)}
         keep = np.isin(labels, classes)
         images, labels = images[keep], labels[keep]

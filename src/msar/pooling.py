@@ -7,12 +7,13 @@ window of half-width floor(sqrt(W*H)/K) around it (clipped at the
 borders), and the regional strategy partitions the lattice into a KxK
 grid of cells whose positions all share one pooled vector.
 
-Regional cell means are computed by direct slice reduction (each pixel
-is read exactly once, and a K=1 cell mean is bitwise identical to a
-plain global average); sliding means go through the summed-area table,
-one table per map shared by every query.  Each map is centred on its
-own mean before the table is built, so a float32 table keeps its
-precision, and everything stays in the input's dtype.
+Pooling a coordinate set and broadcasting onto it are adjoints over one
+cell layout: _cell_sums reduces each cell by a direct slice sum (each
+pixel is read once) and _gate_map broadcasts per-cell vectors back.  A
+regional mean is its cell sum divided by the cell size in the input's
+dtype, so a K=1 mean is bitwise a plain global average.  Sliding means
+go through a summed-area table, one per map, built after centring the
+map on its own mean so a float32 table keeps its precision.
 
 gate() multiplies a feature map by the mean over scales of per-scale
 gate vectors broadcast over their coordinate sets.  It is one taped op
@@ -119,14 +120,6 @@ def coordinate_set(spec: CoordinateSetSpec, w: int, h: int):
     return (h1, h2, w1, w2), (h2 - h1 + 1) * (w2 - w1 + 1)
 
 
-def _cells(spec: CoordinateSetSpec):
-    """Row-major list of regional cell rectangles (h1, h2, w1, w2)."""
-    he = _edges(spec.height, spec.k)
-    we = _edges(spec.width, spec.k)
-    return [(he[i], he[i + 1] - 1, we[j], we[j + 1] - 1)
-            for i in range(spec.k) for j in range(spec.k)]
-
-
 def _grid(spec: CoordinateSetSpec):
     """Row and column edges of the cells that share one pooled vector.
 
@@ -177,8 +170,8 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] != spec.height or x.shape[2] != spec.width:
         raise ValueError(f"region_avg_pool: expected (D,{spec.height},{spec.width}), got {x.shape}")
     if spec.strategy == "regional":
-        return np.stack([x[:, h1:h2 + 1, w1:w2 + 1].mean(axis=(1, 2))
-                         for h1, h2, w1, w2 in _cells(spec)])
+        means, _ = _cell_means(x[None], spec)
+        return means[0]
     means, _ = _sliding_box_means(x, spec)
     return means.reshape(x.shape[0], -1).T
 
@@ -194,17 +187,12 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
         raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
                          f"spec lattice {spec.height}x{spec.width}")
     if spec.strategy == "regional":
-        cells = _cells(spec)
-        y = np.stack([x.data[:, :, h1:h2 + 1, w1:w2 + 1].mean(axis=(2, 3))
-                      for h1, h2, w1, w2 in cells], axis=1)
+        y, sizes = _cell_means(x.data, spec)
         out = Tensor(y)
 
         def bwd(og):
             x.ensure_grad()
-            for idx, (h1, h2, w1, w2) in enumerate(cells):
-                count = (h2 - h1 + 1) * (w2 - w1 + 1)
-                x.grad[:, :, h1:h2 + 1, w1:w2 + 1] += \
-                    (og[:, idx, :] / count)[:, :, None, None]
+            x.grad += _gate_map([og / sizes], [spec])
 
         return _emit("coordinate_avg_pool", out, bwd)
 
@@ -255,8 +243,16 @@ def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
     n, d = g.shape[:2]
     if spec.strategy == "sliding":
         return g.transpose(0, 2, 3, 1).reshape(n, -1, d)
-    return np.stack([g[:, :, h1:h2 + 1, w1:w2 + 1].sum(axis=(2, 3))
-                     for h1, h2, w1, w2 in _cells(spec)], axis=1)
+    he, we = _grid(spec)
+    return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
+                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])], axis=1)
+
+
+def _cell_means(x: np.ndarray, spec: CoordinateSetSpec):
+    """(N, D, H, W) -> (N, K*K, D) cell means, and the cell sizes in x's dtype."""
+    he, we = _grid(spec)
+    sizes = np.outer(np.diff(he), np.diff(we)).reshape(-1, 1).astype(x.dtype)
+    return _cell_sums(x, spec) / sizes, sizes
 
 
 def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:

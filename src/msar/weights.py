@@ -10,9 +10,9 @@ Layout:
 Entries cover every trainable parameter and every running
 normalization statistic, so a load fully restores eval-mode behavior.
 Loading matches entries by name and reports the first mismatch it
-finds (an unknown, duplicated or wrongly shaped entry, or a NaN or
-infinite value, before or after the cast to the network's dtype);
-strict mode also requires the file to cover the whole network.  Every
+finds (a malformed manifest line, an unknown, duplicated or wrongly
+shaped entry, or a NaN or infinite value, before or after the cast to
+the network's dtype); strict mode also requires the file to cover the whole network.  Every
 entry is validated before any is copied, so a load that fails leaves
 the network exactly as it was.
 """
@@ -68,8 +68,11 @@ def load_weights(path: str, network, strict: bool = True) -> None:
             line, body = body.split(b"\n", 1)
         except ValueError:
             raise ValueError(f"{path}: manifest truncated at entry {i}") from None
-        name, _, dims = line.decode().partition(" ")
-        shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+        try:
+            name, _, dims = line.decode().partition(" ")
+            shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+        except ValueError:  # UnicodeDecodeError is one too
+            raise ValueError(f"{path}: malformed manifest entry {i}") from None
         if name in manifest:
             raise ValueError(f"{path}: duplicate manifest entry {name}")
         manifest[name] = shape

@@ -1,9 +1,11 @@
 """Flat config format: parsing, diagnostics, round-trips, resolution."""
 
+from dataclasses import fields
+
 import pytest
 
 from msar.blocks import MsarSettings
-from msar.config import (ExperimentConfig, parse_config, serialize_config,
+from msar.config import (SCHEMA, ExperimentConfig, parse_config, serialize_config,
                          msar_settings, to_network_spec, train_settings)
 
 
@@ -18,6 +20,11 @@ def test_defaults_from_empty_text():
     assert not cfg.msar_enabled
 
 
+def test_schema_keys_are_config_fields_in_order():
+    assert [key.replace(".", "_") for key in SCHEMA] == \
+        [f.name for f in fields(ExperimentConfig)]
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("\n# a comment\n  \nrun.seed = 9\n")
     assert cfg.run_seed == 9
@@ -30,6 +37,19 @@ def test_scales_parse_and_reject_zero():
         parse_config("msar.scales = 0\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_config("run.seed = 1\nrun.epochs = 5\nmsar.scales = 2,2\n")
+
+
+def test_stages_reject_bad_width_and_stride():
+    with pytest.raises(ValueError, match="line 1.*width=0"):
+        parse_config("network.stages = 0:3:1\n")
+    with pytest.raises(ValueError, match="line 2.*stride"):
+        parse_config("run.seed = 1\nnetwork.stages = 16:3:3\n")
+
+
+def test_duplicate_data_classes_carry_line_number():
+    assert parse_config("data.classes = 3,1\n").data_classes == (3, 1)
+    with pytest.raises(ValueError, match="line 2.*class 1 is selected more than once"):
+        parse_config("network.classes = 2\ndata.classes = 1,1\n")
 
 
 def test_unknown_and_malformed_keys_carry_line_numbers():

@@ -69,6 +69,13 @@ def test_class_filter_relabels_in_sequence_order(tmp_path):
     assert images.shape[0] == 3
 
 
+def test_duplicate_class_rejected_by_id(tmp_path):
+    # (1, 1) would relabel every kept record to 1, so label 0 never occurs
+    p = make_file(tmp_path / "g.bin", [0, 1, 1])
+    with pytest.raises(ValueError, match="class 1 is selected more than once"):
+        load_records(str(p), "cifar10", classes=(1, 1))
+
+
 def test_limit_applies_after_filter(tmp_path):
     p = make_file(tmp_path / "f.bin", [0, 1, 0, 1, 0, 1])
     _, labels = load_records(str(p), "cifar10", classes=(1,), limit=2)

@@ -7,7 +7,7 @@ from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
                           coordinate_avg_pool, coordinate_set, gate, rect_sum,
                           region_avg_pool)
-from msar.tensor import Tensor
+from msar.tensor import Tape, Tensor
 
 
 def prefix_table(x):
@@ -158,6 +158,50 @@ def test_batched_pool_matches_per_sample():
         for b in range(3):
             single = region_avg_pool(x[b], spec)
             assert np.allclose(out.data[b], single, atol=1e-12)
+
+
+def slice_pool(x, og, spec):
+    """Per-cell mean stack and slice-add backward: the regional pool's oracle."""
+    cells = sorted({coordinate_set(spec, q, p)[0]
+                    for p in range(spec.height) for q in range(spec.width)})
+    y = np.stack([x[:, :, h1:h2 + 1, w1:w2 + 1].mean(axis=(2, 3))
+                  for h1, h2, w1, w2 in cells], axis=1)
+    grad = np.zeros_like(x)
+    for idx, (h1, h2, w1, w2) in enumerate(cells):
+        count = (h2 - h1 + 1) * (w2 - w1 + 1)
+        grad[:, :, h1:h2 + 1, w1:w2 + 1] += (og[:, idx, :] / count)[:, :, None, None]
+    return y, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("height,width,scales", [
+    (8, 8, (1, 2, 4)), (7, 5, (2, 3)), (11, 9, (3, 5)), (1, 1, (1,))])
+def test_regional_pool_bitwise_matches_slice_oracle(dtype, height, width, scales):
+    # nested (8x8) and non-nested grids; forward, x.grad and region_avg_pool
+    rng = np.random.default_rng(height * width)
+    for k in scales:
+        spec = CoordinateSetSpec("regional", k, width, height)
+        x = Tensor(rng.standard_normal((3, 4, height, width)) + 2.0, dtype=dtype)
+        og = rng.standard_normal((3, k * k, 4)).astype(dtype)
+        with Tape() as tape:
+            out = coordinate_avg_pool(x, spec)
+        (_, _, bwd), = tape._entries
+        bwd(og)
+        want_y, want_grad = slice_pool(x.data, og, spec)
+        assert out.dtype == x.grad.dtype == dtype
+        assert out.data.tobytes() == want_y.tobytes(), k
+        assert x.grad.tobytes() == want_grad.tobytes(), k
+        single = region_avg_pool(Tensor(x.data[1]), spec)
+        assert single.dtype == dtype and single.tobytes() == want_y[1].tobytes(), k
+
+
+def test_region_avg_pool_records_nothing():
+    spec = CoordinateSetSpec("regional", 2, 4, 4)
+    with Tape() as tape:
+        region_avg_pool(Tensor(np.ones((2, 4, 4))), spec)
+        raw = region_avg_pool(np.ones((2, 4, 4), dtype=np.float32), spec)
+    assert len(tape) == 0
+    assert raw.dtype == np.float64      # raw arrays are read as float64
 
 
 def test_broadcast_weights_regional_fills_cells():

@@ -301,14 +301,17 @@ def test_site_tape_holds_no_full_size_gate_maps():
 
 
 def test_float32_sliding_network_stays_float32():
-    spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy="sliding"))
-    net = build_network(spec, seed=21, dtype=np.float32)
-    rng = np.random.default_rng(22)
-    x = Tensor(rng.standard_normal((2, 3, 32, 32)), dtype=np.float32)
-    with Tape() as tape:
-        loss = cross_entropy(net.forward(x, training=True), np.array([1, 7]))
-    backward(tape, loss)
-    wide = [name for name, out, _ in tape._entries if out.dtype != np.float32]
-    assert wide == []
-    for name, t, _ in net.parameters():
-        assert t.grad is not None and t.grad.dtype == np.float32, name
+    # both strategies divide pooled sums by window or cell sizes, which
+    # would promote a float32 map to float64 as integer arrays
+    for strategy in ("sliding", "regional"):
+        spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy=strategy))
+        net = build_network(spec, seed=21, dtype=np.float32)
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 3, 32, 32)), dtype=np.float32)
+        with Tape() as tape:
+            loss = cross_entropy(net.forward(x, training=True), np.array([1, 7]))
+        backward(tape, loss)
+        wide = [name for name, out, _ in tape._entries if out.dtype != np.float32]
+        assert wide == [], strategy
+        for name, t, _ in net.parameters():
+            assert t.grad is not None and t.grad.dtype == np.float32, (strategy, name)

@@ -222,3 +222,19 @@ def test_float32_overflow_rejected_by_name(tmp_path):
     with pytest.raises(ValueError, match="head.fc.bias"):
         load_weights(path, net, strict=False)
     assert_unchanged(net, before)
+
+
+@pytest.mark.parametrize("bad_line", [b"stem.norm.gamma 4,x\n", b"stem.norm.g\xffmma 4\n"],
+                         ids=["dims", "non-utf8"])
+def test_malformed_manifest_entry_named(tmp_path, bad_line):
+    src = build_network(SPEC, seed=1)
+    drift(src, 14)
+    path = tmp_path / "w.bin"
+    save_weights(str(path), src)
+    # stem.norm.gamma is manifest entry 1, after stem.conv.weight
+    path.write_bytes(path.read_bytes().replace(b"stem.norm.gamma 4\n", bad_line))
+    net = build_network(SPEC, seed=2)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="w.bin: malformed manifest entry 1$"):
+        load_weights(str(path), net)
+    assert_unchanged(net, before)
