@@ -37,7 +37,8 @@ def _distinct_classes(classes) -> None:
 def load_records(path: str, fmt: str = "cifar10", classes=None, limit: int = 0):
     """Read a record file into (images uint8 (N,3,32,32), labels int64 (N,)).
 
-    classes: optional sequence of distinct label values to keep; kept
+    classes: optional sequence of distinct label values to keep, each
+    within the format's range and held by at least one record; kept
     records are relabeled to their index in the sequence.  limit: keep at
     most this many records after filtering (0 = all).
     """
@@ -64,6 +65,12 @@ def load_records(path: str, fmt: str = "cifar10", classes=None, limit: int = 0):
     if classes is not None:
         classes = list(classes)
         _distinct_classes(classes)
+        held = np.bincount(labels, minlength=num_classes)
+        for c in classes:
+            if not 0 <= c < num_classes:
+                raise ValueError(f"{path}: class {c} outside [0, {num_classes})")
+            if not held[c]:
+                raise ValueError(f"{path}: no records of class {c}")
         remap = {c: i for i, c in enumerate(classes)}
         keep = np.isin(labels, classes)
         images, labels = images[keep], labels[keep]

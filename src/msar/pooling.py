@@ -1,19 +1,24 @@
-"""Integral-image pooling over coordinate sets, and the gating op.
+"""Pooling over coordinate sets, and the gating op.
 
-A summed-area table T holds prefix sums of a feature map, so the sum of
-any axis-aligned rectangle costs four lookups.  Coordinate sets come in
-two flavors: the sliding strategy assigns each position the square
-window of half-width floor(sqrt(W*H)/K) around it (clipped at the
-borders), and the regional strategy partitions the lattice into a KxK
-grid of cells whose positions all share one pooled vector.
+Coordinate sets come in two flavors: the sliding strategy assigns each
+position the square window of half-width floor(sqrt(W*H)/K) around it
+(clipped at the borders), and the regional strategy partitions the
+lattice into a KxK grid of cells whose positions all share one pooled
+vector.  A summed-area table (build_sat) gives the sum of any such
+rectangle in four lookups (rect_sum); the two, with coordinate_set, are
+the reference the pools are checked against.
 
 Pooling a coordinate set and broadcasting onto it are adjoints over one
 cell layout: _cell_sums reduces each cell by a direct slice sum (each
 pixel is read once) and _gate_map broadcasts per-cell vectors back.  A
 regional mean is its cell sum divided by the cell size in the input's
-dtype, so a K=1 mean is bitwise a plain global average.  Sliding means
-go through a summed-area table, one per map, built after centring the
-map on its own mean so a float32 table keeps its precision.
+dtype, so a K=1 mean is bitwise a plain global average.  A clipped
+square window is separable, so sliding means are two 1-D window sums
+(_box_sums: a prefix sum and three slice ops per axis) over one
+channel-last copy of the map, centred on its own mean so that float32
+running sums keep their precision.  The window is its own adjoint, so
+the backward pass runs the same window sums over og / window size,
+centred the same way.
 
 gate() multiplies a feature map by the mean over scales of per-scale
 gate vectors broadcast over their coordinate sets.  It is one taped op
@@ -130,33 +135,51 @@ def _grid(spec: CoordinateSetSpec):
     return _edges(spec.height, spec.k), _edges(spec.width, spec.k)
 
 
-def _window_bounds(n: int, r: int):
+def _window_sizes(n: int, r: int) -> np.ndarray:
     pos = np.arange(n)
-    return np.maximum(0, pos - r), np.minimum(n - 1, pos + r)
+    return np.minimum(n - 1, pos + r) - np.maximum(0, pos - r) + 1
+
+
+def _box_sums(a: np.ndarray, r: int) -> np.ndarray:
+    """Sums of the clipped windows of half-width r along axes 1 and 2 of a.
+
+    Each axis takes one prefix sum p and three slice ops: position i reads
+    p[min(i + r, n - 1)], less p[i - r - 1] when i > r.  A window that
+    spans a whole axis is that axis's sum, left at length one for the
+    caller to broadcast.
+    """
+    for axis in (1, 2):
+        n = a.shape[axis]
+        if r >= n - 1:
+            a = a.sum(axis=axis, keepdims=True)
+            continue
+        p = np.cumsum(a, axis=axis)
+        out = np.empty_like(p)
+        pv, ov = np.moveaxis(p, axis, 0), np.moveaxis(out, axis, 0)
+        ov[:n - r] = pv[r:]
+        ov[n - r:] = pv[-1]
+        ov[r + 1:] -= pv[:n - r - 1]
+        a = out
+    return a
 
 
 def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """Mean of the clipped square window at every position of (..., H, W) maps.
+    """(N, D, H, W) -> (N, H*W, D) clipped-window means, and the (H, W, 1) window sizes.
 
-    Every map is centred on its own mean before the summed-area table is
-    built, and that mean is added back to the box means.  This is exact
-    in exact arithmetic and keeps the table's running sums near zero, so
-    little is lost to cancellation.  Window sizes come back in x's dtype.
+    The window sums run over a channel-last copy of x centred on each
+    map's own mean, which is added back to the means.  This is exact in
+    exact arithmetic and keeps the running sums near zero, so a float32
+    map loses little to cancellation.  Sizes come back in x's dtype.
     """
-    height, width = spec.height, spec.width
+    n, d, height, width = x.shape
     r = int(spec.threshold)
-    mu = x.mean(axis=(-2, -1), keepdims=True)
-    sat = np.cumsum(np.cumsum(x - mu, axis=-2), axis=-1)
-    pad = np.zeros(x.shape[:-2] + (height + 1, width + 1), dtype=sat.dtype)
-    pad[..., 1:, 1:] = sat
-    h1, h2 = _window_bounds(height, r)
-    w1, w2 = _window_bounds(width, r)
-    sums = (pad[..., h2 + 1, :][..., w2 + 1]
-            - pad[..., h1, :][..., w2 + 1]
-            - pad[..., h2 + 1, :][..., w1]
-            + pad[..., h1, :][..., w1])
-    counts = ((h2 - h1 + 1)[:, None] * (w2 - w1 + 1)[None, :]).astype(x.dtype)
-    return sums / counts + mu, counts
+    mu = x.mean(axis=(2, 3), keepdims=True).transpose(0, 2, 3, 1)
+    centred = np.empty((n, height, width, d), dtype=x.dtype)
+    np.subtract(x.transpose(0, 2, 3, 1), mu, out=centred)
+    sizes = np.outer(_window_sizes(height, r), _window_sizes(width, r))[..., None].astype(x.dtype)
+    means = _box_sums(centred, r) / sizes
+    means += mu
+    return means.reshape(n, height * width, d), sizes
 
 
 def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
@@ -164,16 +187,14 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
 
     Regional strategy: (K*K, D), one vector per cell, row-major cells.
     Sliding strategy: (H*W, D), one vector per position, row-major
-    positions, each the rect_sum of its window divided by the window size.
+    positions, each the mean of its clipped window.
     """
     x = _unwrap(x)
     if x.ndim != 3 or x.shape[1] != spec.height or x.shape[2] != spec.width:
         raise ValueError(f"region_avg_pool: expected (D,{spec.height},{spec.width}), got {x.shape}")
-    if spec.strategy == "regional":
-        means, _ = _cell_means(x[None], spec)
-        return means[0]
-    means, _ = _sliding_box_means(x, spec)
-    return means.reshape(x.shape[0], -1).T
+    pool = _cell_means if spec.strategy == "regional" else _sliding_box_means
+    means, _ = pool(x[None], spec)
+    return means[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +207,22 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
     if height != spec.height or width != spec.width:
         raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
                          f"spec lattice {spec.height}x{spec.width}")
-    if spec.strategy == "regional":
-        y, sizes = _cell_means(x.data, spec)
-        out = Tensor(y)
-
-        def bwd(og):
-            x.ensure_grad()
-            x.grad += _gate_map([og / sizes], [spec])
-
-        return _emit("coordinate_avg_pool", out, bwd)
-
-    means, counts = _sliding_box_means(x.data, spec)
-    out = Tensor(means.transpose(0, 2, 3, 1).reshape(n, height * width, d))
+    regional = spec.strategy == "regional"
+    y, sizes = (_cell_means if regional else _sliding_box_means)(x.data, spec)
+    out = Tensor(y)
 
     def bwd(og):
-        # window membership is symmetric, so the adjoint of the clipped-box
-        # average is a clipped-box sum of og/|S| over the same geometry
         x.ensure_grad()
-        u = og.reshape(n, height, width, d).transpose(0, 3, 1, 2) / counts
-        box_means, _ = _sliding_box_means(u, spec)
-        x.grad += box_means * counts
+        if regional:
+            x.grad += _gate_map([og / sizes], [spec])
+            return
+        # window membership is symmetric, so the adjoint of the clipped-box
+        # average is a clipped-box sum of u = og/|S| over the same geometry;
+        # u is centred like the forward map and its mean comes back as mu*|S|
+        u = og.reshape(n, height, width, d) / sizes
+        mu = u.mean(axis=(1, 2), keepdims=True)
+        u -= mu
+        x.grad += (_box_sums(u, int(spec.threshold)) + mu * sizes).transpose(0, 3, 1, 2)
 
     return _emit("coordinate_avg_pool", out, bwd)
 

@@ -241,7 +241,7 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, numerically stable for both signs."""
     d = x.data
     e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(d >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(s)
 
     def bwd(og):

@@ -148,6 +148,22 @@ def test_class_count_mismatch_diagnostic(tmp_path, capsys):
     assert "2 classes" in err and "5 outputs" in err
 
 
+def test_data_classes_without_records_diagnostic(tmp_path, capsys):
+    train_bin = tmp_path / "t.bin"
+    write_synthetic(str(train_bin), per_class=2, classes=(0, 1), seed=1)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join([
+        "network.stages = 4:1:2",
+        "network.classes = 2",
+        "data.classes = 5,6",
+        f"data.train_path = {train_bin}",
+        f"data.test_path = {train_bin}",
+        f"run.out = {tmp_path / 'run'}",
+    ]) + "\n")
+    assert main(["train", str(cfg)]) == 1
+    assert f"{train_bin}: no records of class 5" in capsys.readouterr().err
+
+
 def test_data_root_env_var(tmp_path, toy_setup, monkeypatch, capsys):
     train_bin = tmp_path / "root" / "train.bin"
     os.makedirs(train_bin.parent, exist_ok=True)

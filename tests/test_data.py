@@ -76,6 +76,21 @@ def test_duplicate_class_rejected_by_id(tmp_path):
         load_records(str(p), "cifar10", classes=(1, 1))
 
 
+def test_class_outside_format_rejected(tmp_path):
+    p = make_file(tmp_path / "h.bin", [0, 1, 0])
+    with pytest.raises(ValueError, match=r"h\.bin: class 12 outside \[0, 10\)"):
+        load_records(str(p), "cifar10", classes=(0, 12))
+    with pytest.raises(ValueError, match="class -1 outside"):
+        load_records(str(p), "cifar10", classes=(-1,))
+
+
+def test_class_without_records_rejected(tmp_path):
+    # 5 is a valid cifar10 label, but this file holds none
+    p = make_file(tmp_path / "i.bin", [0, 1, 0])
+    with pytest.raises(ValueError, match=r"i\.bin: no records of class 5"):
+        load_records(str(p), "cifar10", classes=(1, 5))
+
+
 def test_limit_applies_after_filter(tmp_path):
     p = make_file(tmp_path / "f.bin", [0, 1, 0, 1, 0, 1])
     _, labels = load_records(str(p), "cifar10", classes=(1,), limit=2)

@@ -250,16 +250,91 @@ def test_pool_then_broadcast_roundtrip_is_cellwise_mean():
         assert np.allclose(cell, np.broadcast_to(want, cell.shape), atol=1e-12)
 
 
+def sat_box_means(x, spec):
+    """Centred summed-area-table box means of (..., H, W) maps: the sliding pool's oracle."""
+    height, width = spec.height, spec.width
+    r = int(spec.threshold)
+    mu = x.mean(axis=(-2, -1), keepdims=True)
+    sat = np.cumsum(np.cumsum(x - mu, axis=-2), axis=-1)
+    pad = np.zeros(x.shape[:-2] + (height + 1, width + 1), dtype=sat.dtype)
+    pad[..., 1:, 1:] = sat
+    h1, h2 = np.maximum(0, np.arange(height) - r), np.minimum(height - 1, np.arange(height) + r)
+    w1, w2 = np.maximum(0, np.arange(width) - r), np.minimum(width - 1, np.arange(width) + r)
+    sums = (pad[..., h2 + 1, :][..., w2 + 1]
+            - pad[..., h1, :][..., w2 + 1]
+            - pad[..., h2 + 1, :][..., w1]
+            + pad[..., h1, :][..., w1])
+    counts = ((h2 - h1 + 1)[:, None] * (w2 - w1 + 1)[None, :]).astype(x.dtype)
+    return sums / counts + mu, counts
+
+
+def sat_pool(x, og, spec):
+    """The summed-area pool's (N, H*W, D) forward and its x.grad for og."""
+    n, d, height, width = x.shape
+    means, counts = sat_box_means(x, spec)
+    u = og.reshape(n, height, width, d).transpose(0, 3, 1, 2) / counts
+    return (means.transpose(0, 2, 3, 1).reshape(n, height * width, d),
+            sat_box_means(u, spec)[0] * counts)
+
+
+def window_pool(x, og, spec):
+    """Each position's clipped window sliced out and averaged, and its x.grad for og."""
+    n, d, height, width = x.shape
+    y = np.empty((n, height * width, d))
+    grad = np.zeros_like(x)
+    for p in range(height):
+        for q in range(width):
+            (h1, h2, w1, w2), size = coordinate_set(spec, q, p)
+            y[:, p * width + q] = x[:, :, h1:h2 + 1, w1:w2 + 1].mean(axis=(2, 3))
+            grad[:, :, h1:h2 + 1, w1:w2 + 1] += (og[:, p * width + q] / size)[:, :, None, None]
+    return y, grad
+
+
+SLIDING_CASES = [(7, 5, 2), (11, 9, 3), (6, 13, 4), (32, 32, 1), (32, 32, 2), (32, 32, 4),
+                 (4, 4, 2), (1, 1, 1), (1, 1, 3), (3, 20, 1), (20, 3, 1)]
+
+
+@pytest.mark.parametrize("height,width,k", SLIDING_CASES)
+def test_sliding_pool_matches_summed_area_and_window_oracles(height, width, k):
+    # 4x4 at K=2 misses whole-axis windows by one; 3x20 and 20x3 at K=1
+    # cover one axis whole and not the other
+    spec = CoordinateSetSpec("sliding", k, width, height)
+    rng = np.random.default_rng(height * 100 + width * 10 + k)
+    x = Tensor(rng.standard_normal((2, 3, height, width)) + 2.0)
+    og = rng.standard_normal((2, height * width, 3))
+    with Tape() as tape:
+        out = coordinate_avg_pool(x, spec)
+    (_, _, bwd), = tape._entries
+    bwd(og)
+    for want_y, want_grad in (sat_pool(x.data, og, spec), window_pool(x.data, og, spec)):
+        assert np.abs(out.data - want_y).max() <= 1e-12
+        assert np.abs(x.grad - want_grad).max() <= 1e-12
+    single = region_avg_pool(x.data[1], spec)
+    assert np.abs(single - out.data[1]).max() <= 1e-12
+    # adjoint identity <pool(x), og> = <x, pool^T(og)>
+    lhs, rhs = np.vdot(out.data, og), np.vdot(x.data, x.grad)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
 def test_sliding_float32_box_means_track_float64():
     # an offset map is where an uncentred float32 summed-area table loses
     # digits: its running sums reach 3 * 112 * 112
     spec = CoordinateSetSpec("sliding", 4, 112, 112)
-    x = np.random.default_rng(30).standard_normal((2, 4, 112, 112)) + 3.0
-    x32 = x.astype(np.float32)
-    got = coordinate_avg_pool(Tensor(x32), spec).data
-    want = coordinate_avg_pool(Tensor(x32.astype(np.float64)), spec).data
-    assert got.dtype == np.float32
-    assert np.abs(got - want).max() <= 1e-6
+    rng = np.random.default_rng(30)
+    x32 = (rng.standard_normal((2, 4, 112, 112)) + 3.0).astype(np.float32)
+    # the backward window sums run over og / size uncentred, so give og an offset too
+    og32 = (rng.standard_normal((2, 112 * 112, 4)) + 3.0).astype(np.float32)
+    outs, grads = [], []
+    for dtype in (np.float32, np.float64):
+        x = Tensor(x32.astype(dtype))
+        with Tape() as tape:
+            outs.append(coordinate_avg_pool(x, spec).data)
+        (_, _, bwd), = tape._entries
+        bwd(og32.astype(dtype))
+        grads.append(x.grad)
+    assert outs[0].dtype == grads[0].dtype == np.float32
+    assert np.abs(outs[0] - outs[1]).max() <= 1e-6
+    assert np.abs(grads[0] - grads[1]).max() <= 1e-6
 
 
 def test_gate_is_input_times_mean_of_broadcast_maps():

@@ -339,10 +339,11 @@ def three_exp_sigmoid(d):
 def test_sigmoid_bitwise_matches_three_exp_oracle(dtype):
     info = np.finfo(dtype)
     edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 88.7, -88.7, 1e-300,
-             info.tiny, -info.tiny, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+             info.tiny, -info.tiny, info.tiny / 4, -info.tiny / 4, info.max, -info.max,
+             np.inf, -np.inf]
     rng = np.random.default_rng(16)
-    d = np.concatenate([np.array(edges), rng.standard_normal(50_000) * 20,
-                        rng.uniform(-800, 800, 50_000)]).astype(dtype)
+    d = np.concatenate([np.array(edges), rng.standard_normal(1_000_000) * 20,
+                        rng.uniform(-800, 800, 1_000_000)]).astype(dtype)
     with np.errstate(over="ignore", under="ignore"):
         want = three_exp_sigmoid(d)
         got = sigmoid(Tensor(d)).data
