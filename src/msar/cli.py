@@ -20,7 +20,8 @@ from .config import (ExperimentConfig, parse_config, to_network_spec,
 from .costs import report
 from .data import channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
-from .pooling import CoordinateSetSpec, broadcast_weights, coordinate_avg_pool, gate
+from .pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool, gate,
+                      project_pool)
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
@@ -226,6 +227,10 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     x14, k14 = t(2, 4, 7, 7), t(6, 4, 1, 1)
     rows.append(("conv2d[1x1,stride2]",
                  lambda: conv2d(x14, k14, stride=2, pad=0), [x14, k14]))
+
+    x15, w15 = t(2, 3, 8, 8), t(2, 3)
+    rows.append(("project_pool[sliding]",
+                 lambda: project_pool(x15, w15, sl), [x15, w15]))
     return rows
 
 

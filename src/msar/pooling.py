@@ -20,6 +20,11 @@ running sums keep their precision.  The window is its own adjoint, so
 the backward pass runs the same window sums over og / window size,
 centred the same way.
 
+project_pool is the op a sliding recalibration scale runs: it applies
+the bottleneck's first map w (r x D, no bias) to the map and then takes
+the sliding means, which equals pooling first and mapping after in
+exact arithmetic but runs the window sums over r channels instead of D.
+
 gate() multiplies a feature map by the mean over scales of per-scale
 gate vectors broadcast over their coordinate sets.  It is one taped op
 whose closure keeps only the input and the small (N, M, D) vectors:
@@ -203,7 +208,7 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
 
 def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
     """(N, D, H, W) -> (N, M, D) coordinate-set averages, M = spec.vector_count."""
-    n, d, height, width = x.shape
+    height, width = x.shape[2:]
     if height != spec.height or width != spec.width:
         raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
                          f"spec lattice {spec.height}x{spec.width}")
@@ -215,14 +220,53 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
         x.ensure_grad()
         if regional:
             x.grad += _gate_map([og / sizes], [spec])
-            return
-        # window membership is symmetric, so the adjoint of the clipped-box
-        # average is a clipped-box sum of u = og/|S| over the same geometry;
-        # u is centred like the forward map and its mean comes back as mu*|S|
-        u = og.reshape(n, height, width, d) / sizes
-        mu = u.mean(axis=(1, 2), keepdims=True)
-        u -= mu
-        x.grad += (_box_sums(u, int(spec.threshold)) + mu * sizes).transpose(0, 3, 1, 2)
+        else:
+            x.grad += _sliding_box_adjoint(og, sizes, spec).transpose(0, 3, 1, 2)
+
+    return _emit("coordinate_avg_pool", out, bwd)
+
+
+def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
+    """Adjoint of _sliding_box_means: (N, H*W, D) -> channel-last (N, H, W, D).
+
+    Window membership is symmetric, so the adjoint of the clipped-box
+    average is a clipped-box sum of u = og/|S| over the same geometry;
+    u is centred like the forward map and its mean comes back as mu*|S|.
+    """
+    height, width = sizes.shape[:2]
+    u = og.reshape(og.shape[0], height, width, -1) / sizes
+    mu = u.mean(axis=(1, 2), keepdims=True)
+    u -= mu
+    return _box_sums(u, int(spec.threshold)) + mu * sizes
+
+
+def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
+    """(N, D, H, W) map and (r, D) weight -> (N, H*W, r) sliding means of w @ x.
+
+    Both the box mean and the bias-free map w are linear, so this equals
+    linear(coordinate_avg_pool(x, spec), w) in exact arithmetic, but the
+    window sums run over r channels instead of D.  The projection is one
+    GEMM over x's (D, N*H*W) channel-major view, which is free for
+    conv2d's outputs.  Recorded on the tape as coordinate_avg_pool.
+    """
+    n, d, height, width = x.shape
+    r = w.shape[0]
+    if spec.strategy != "sliding" or (height, width) != (spec.height, spec.width):
+        raise ValueError(f"project_pool: {height}x{width} map does not match "
+                         f"sliding spec {spec}")
+    if w.shape != (r, d):
+        raise ValueError(f"project_pool: weight {w.shape} does not map {d} channels")
+    cols = x.data.transpose(1, 0, 2, 3).reshape(d, -1)
+    z = w.data @ cols                                   # (r, N*H*W)
+    y, sizes = _sliding_box_means(z.reshape(r, n, height, width).transpose(1, 0, 2, 3), spec)
+    out = Tensor(y)
+
+    def bwd(og):
+        gz = _sliding_box_adjoint(og, sizes, spec).reshape(-1, r)   # (N*H*W, r)
+        x.ensure_grad()
+        x.grad += (w.data.T @ gz.T).reshape(d, n, height, width).transpose(1, 0, 2, 3)
+        w.ensure_grad()
+        w.grad += gz.T @ x.data.transpose(1, 0, 2, 3).reshape(d, -1).T
 
     return _emit("coordinate_avg_pool", out, bwd)
 

@@ -10,6 +10,15 @@ by context gathered at several spatial ranges without any full-size
 per-scale map being kept for backward.  A single regional scale with
 one cell collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
+
+A sliding scale has a pooled vector per position, and both the window
+mean and the bottleneck's first (bias-free) map are linear, so it
+projects first and pools after (pooling.project_pool): the windows then
+run over the bottleneck's few reduced channels instead of the input's.
+A sliding window that covers the whole lattice from every position is
+the regional K=1 cell, and such a scale runs as that cell, so its
+bottleneck sees one row per image instead of H*W identical ones; the
+batch statistics agree because the variance is the biased one.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights,
-                      coordinate_avg_pool, gate)
+                      coordinate_avg_pool, gate, project_pool)
 from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
                      relu, reshape, sigmoid)
 
@@ -68,7 +77,12 @@ class RecalibrationParams:
 
 
 def _bottleneck(flat: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
-    u = relu(batch_norm(linear(flat, p.w1), p.g1, p.b1, p.n1, training))
+    return _excite(linear(flat, p.w1), p, training)
+
+
+def _excite(z: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
+    """The bottleneck after its first map: normalization, ReLU, expand, normalization, logistic."""
+    u = relu(batch_norm(z, p.g1, p.b1, p.n1, training))
     return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
 
 
@@ -82,10 +96,17 @@ def se_reference(x: Tensor, params: RecalibrationParams, training: bool) -> Tens
 
 
 class ScaleRecalibration:
-    """Parameters and pooling geometry for one scale at one site."""
+    """Parameters and pooling geometry for one scale at one site.
+
+    A sliding window that covers the whole lattice from every position
+    is the one regional K=1 cell, so such a spec is stored as that cell.
+    """
 
     def __init__(self, name: str, spec: CoordinateSetSpec, d_in: int, d_out: int,
                  reduced: int, rng: np.random.Generator, dtype=np.float64):
+        whole = int(spec.threshold) >= max(spec.width, spec.height) - 1
+        if spec.strategy == "sliding" and whole:
+            spec = CoordinateSetSpec("regional", 1, spec.width, spec.height)
         self.name = name
         self.spec = spec
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
@@ -96,9 +117,16 @@ class ScaleRecalibration:
         Row m holds the gate of coordinate set m (M = spec.vector_count);
         broadcast_weights(v, self.spec) paints them onto the lattice.
         """
-        y = coordinate_avg_pool(pool_src, self.spec)
-        n, m, d = y.shape
-        v = _bottleneck(reshape(y, (n * m, d)), self.params, training)
+        p = self.params
+        if self.spec.strategy == "sliding":
+            z = project_pool(pool_src, p.w1, self.spec)
+            n, m, r = z.shape
+            z = reshape(z, (n * m, r))
+        else:
+            y = coordinate_avg_pool(pool_src, self.spec)
+            n, m, d = y.shape
+            z = linear(reshape(y, (n * m, d)), p.w1)
+        v = _excite(z, p, training)
         return reshape(v, (n, m, v.shape[1]))
 
     def parameters(self):

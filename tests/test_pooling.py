@@ -5,9 +5,9 @@ import pytest
 
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
-                          coordinate_avg_pool, coordinate_set, gate, rect_sum,
-                          region_avg_pool)
-from msar.tensor import Tape, Tensor
+                          coordinate_avg_pool, coordinate_set, gate, project_pool,
+                          rect_sum, region_avg_pool)
+from msar.tensor import Tape, Tensor, backward, linear, mul, reshape, sum_all
 
 
 def prefix_table(x):
@@ -335,6 +335,65 @@ def test_sliding_float32_box_means_track_float64():
     assert outs[0].dtype == grads[0].dtype == np.float32
     assert np.abs(outs[0] - outs[1]).max() <= 1e-6
     assert np.abs(grads[0] - grads[1]).max() <= 1e-6
+
+
+def project_pool_run(x, w, spec, og, pool_first=False):
+    """Output, x.grad and w.grad of project_pool, or of pool-then-linear."""
+    x, w = Tensor(x), Tensor(w)
+    with Tape() as tape:
+        if pool_first:
+            y = coordinate_avg_pool(x, spec)
+            n, m, d = y.shape
+            out = reshape(linear(reshape(y, (n * m, d)), w), (n, m, w.shape[0]))
+        else:
+            out = project_pool(x, w, spec)
+        loss = sum_all(mul(out, Tensor(og)))
+    backward(tape, loss)
+    return out.data, x.grad, w.grad
+
+
+@pytest.mark.parametrize("height, width, k", [(8, 8, 2), (5, 7, 3), (6, 13, 1), (9, 11, 4)])
+@pytest.mark.parametrize("layout", ["batch-major", "channel-major"])
+def test_project_pool_is_linear_of_pooled(height, width, k, layout):
+    # conv2d hands over (N, D, H, W) views of channel-major memory
+    spec = CoordinateSetSpec("sliding", k, width, height)
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((3, 5, height, width))
+    if layout == "channel-major":
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    w = rng.standard_normal((2, 5))
+    og = rng.standard_normal((3, height * width, 2))
+    got = project_pool_run(x, w, spec, og)
+    want = project_pool_run(x, w, spec, og, pool_first=True)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("side, k", [(32, 2), (32, 4), (112, 4)])
+def test_project_pool_float32_tracks_float64(side, k):
+    # an uncentred float32 prefix sum over an offset map loses digits.
+    # w.grad is one float32 GEMM over N*H*W products, whose rounding
+    # (3.7e-6 at 112x112 when pooling first) owes nothing to the window sums
+    spec = CoordinateSetSpec("sliding", k, side, side)
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((2, 6, side, side)) + 3.0
+    w = rng.standard_normal((2, 6))
+    og = rng.standard_normal((2, side * side, 2)) + 3.0
+    f32 = [a.astype(np.float32) for a in (x, w, og)]
+    got = project_pool_run(f32[0], f32[1], spec, f32[2])
+    want = project_pool_run(x, w, spec, og)
+    for a, b, bound in zip(got, want, (1e-6, 1e-6, 1e-5)):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() <= bound * np.abs(b).max()
+
+
+def test_project_pool_rejects_regional_and_mismatched_weight():
+    x = Tensor(np.zeros((1, 3, 6, 6)))
+    with pytest.raises(ValueError):
+        project_pool(x, Tensor(np.zeros((2, 3))), CoordinateSetSpec("regional", 2, 6, 6))
+    with pytest.raises(ValueError):
+        project_pool(x, Tensor(np.zeros((2, 4))), CoordinateSetSpec("sliding", 2, 6, 6))
 
 
 def test_gate_is_input_times_mean_of_broadcast_maps():

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from msar.blocks import MsarSettings, build_network, resnet_cifar
+from msar.costs import report
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.pooling import CoordinateSetSpec, broadcast_weights, coordinate_set
+from msar.pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool,
+                          coordinate_set, gate)
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
                               RecalibrationParams, ScaleRecalibration,
-                              se_reference)
+                              _bottleneck, se_reference)
 from msar.tensor import (Tape, Tensor, add, backward, cross_entropy, mul,
-                         scale, sum_all)
+                         reshape, scale, sum_all)
 
 
 def naive_recalibration(x, params, spec):
@@ -235,15 +237,15 @@ GEOMETRIES = [
 ]
 
 
-def run_site(forward, geometry, training, d_in=4, d_out=4, separate=False):
+def run_site(forward, geometry, training, d_in=4, d_out=4, separate=False, batch=3):
     """Forward and backward of one freshly built site; every output bitwise."""
     scales, strategy, width, height = geometry
     module = MultiScaleRecalibration(
         "m", MultiScaleConfig(scales=scales, strategy=strategy), d_in, d_out,
         width, height, reduced=2, rng=np.random.default_rng(17))
     rng = np.random.default_rng(18)
-    x = Tensor(rng.standard_normal((3, d_out, height, width)))
-    src = Tensor(rng.standard_normal((3, d_in, height, width))) if separate else None
+    x = Tensor(rng.standard_normal((batch, d_out, height, width)))
+    src = Tensor(rng.standard_normal((batch, d_in, height, width))) if separate else None
     weight = Tensor(rng.standard_normal(x.shape))
     with Tape() as tape:
         out = forward(module, x, training, src)
@@ -283,12 +285,8 @@ def test_gate_bitwise_with_separate_pool_source(training):
             assert a.tobytes() == b.tobytes()
 
 
-def test_site_tape_holds_no_full_size_gate_maps():
-    # the tape keeps the gated output and small gate vectors, nothing per scale
-    module = MultiScaleRecalibration(
-        "m", MultiScaleConfig(scales=(1, 2, 4), strategy="regional"), 16, 16,
-        32, 32, reduced=4, rng=np.random.default_rng(19))
-    x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
+def tape_bytes(module, x):
+    """Bytes still allocated after one training-mode forward of a site."""
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -297,7 +295,27 @@ def test_site_tape_holds_no_full_size_gate_maps():
     finally:
         tracemalloc.stop()
     assert len(tape) > 0
-    assert held <= 1.5 * x.data.nbytes
+    return held
+
+
+def test_site_tape_holds_no_full_size_gate_maps():
+    # the tape keeps the gated output and small gate vectors, nothing per scale
+    module = MultiScaleRecalibration(
+        "m", MultiScaleConfig(scales=(1, 2, 4), strategy="regional"), 16, 16,
+        32, 32, reduced=4, rng=np.random.default_rng(19))
+    x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
+    assert tape_bytes(module, x) <= 1.5 * x.data.nbytes
+
+
+def test_sliding_site_tape_holds_reduced_width_pools():
+    # a sliding scale keeps one gate vector per position, but its pooled
+    # vectors are `reduced` wide, and the whole-lattice K=1 scale keeps one
+    # vector per image; pooling all 16 channels first held 16.8x the input
+    module = MultiScaleRecalibration(
+        "m", MultiScaleConfig(scales=(1, 2, 4), strategy="sliding"), 16, 16,
+        32, 32, reduced=1, rng=np.random.default_rng(19))
+    x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
+    assert tape_bytes(module, x) <= 11 * x.data.nbytes
 
 
 def test_float32_sliding_network_stays_float32():
@@ -315,3 +333,115 @@ def test_float32_sliding_network_stays_float32():
         assert wide == [], strategy
         for name, t, _ in net.parameters():
             assert t.grad is not None and t.grad.dtype == np.float32, (strategy, name)
+
+
+# -- sliding sites project, then pool -----------------------------------------
+
+def pool_then_project(module, x, training, src):
+    """A site whose every scale pools the full-width source over its own
+    spec, then runs the whole bottleneck: no projection ahead of the
+    pool, and no whole-lattice window run as the K=1 cell."""
+    src = x if src is None else src
+    specs = module.config.specs(x.shape[3], x.shape[2])
+    vs = []
+    for s, spec in zip(module.scales, specs):
+        y = coordinate_avg_pool(src, spec)
+        n, m, d = y.shape
+        v = _bottleneck(reshape(y, (n * m, d)), s.params, training)
+        vs.append(reshape(v, (n, m, v.shape[1])))
+    return gate(x, vs, specs)
+
+
+SLIDING_GEOMETRIES = [
+    ((1, 2, 4), "sliding", 32, 32),   # K=1 covers the lattice: one cell
+    ((1, 2), "sliding", 8, 8),
+    ((1, 3), "sliding", 7, 5),        # K=1 half-width 5 < 6 stays sliding
+    ((2,), "sliding", 11, 9),
+]
+
+
+@pytest.mark.parametrize("separate", [False, True], ids=["self", "wider-source"])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("geometry", SLIDING_GEOMETRIES,
+                         ids=lambda g: f"{g[0]}-{g[2]}x{g[3]}")
+def test_sliding_site_matches_pool_then_project(geometry, training, separate):
+    # output, x.grad, pool-source grad, parameter grads, running statistics.
+    # A K=1 scale normalizes one row per image; with 3 images its training
+    # reduce.weight grad is a cancellation residue, and the oracle's
+    # whole-lattice window means carry enough rounding to miss 1e-12 there
+    # (test_collapsed_k1_grads_track_long_double covers that case).
+    kw = {"d_in": 6, "d_out": 3, "separate": True} if separate else {}
+    kw["batch"] = 4
+    got = run_site(fused, geometry, training, **kw)
+    want = run_site(pool_then_project, geometry, training, **kw)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("width, height, collapsed",
+                         [(8, 8, True), (7, 7, True), (7, 5, False)])
+def test_whole_lattice_sliding_scale_is_the_k1_cell(width, height, collapsed):
+    spec = CoordinateSetSpec("sliding", 1, width, height)
+    s = fresh_scale(spec, 4, 2, seed=3)
+    assert s.spec == (CoordinateSetSpec("regional", 1, width, height) if collapsed else spec)
+
+
+def test_collapsed_scale_bitwise_matches_regional_k1():
+    x = np.random.default_rng(40).standard_normal((3, 4, 8, 8))
+    for training in (True, False):
+        got, want = (fresh_scale(CoordinateSetSpec(strategy, 1, 8, 8), 4, 2, seed=3)
+                     .forward(Tensor(x), training).data
+                     for strategy in ("sliding", "regional"))
+        assert got.shape == (3, 1, 4)
+        assert got.tobytes() == want.tobytes()
+
+
+def long_double_k1_reduce_grad(src, p, og):
+    """reduce.weight grad of a training K=1 scale, in long double."""
+    w1, g1, b1, w2, g2, b2 = (t.data.astype(np.longdouble)
+                              for t in (p.w1, p.g1, p.b1, p.w2, p.g2, p.b2))
+
+    def norm(a, state):
+        inv = 1 / np.sqrt(a.var(axis=0) + np.longdouble(state.eps))
+        return (a - a.mean(axis=0)) * inv, inv
+
+    def norm_bwd(og, ahat, inv, g):
+        n = og.shape[0]
+        return g * inv / n * (n * og - og.sum(axis=0) - ahat * (og * ahat).sum(axis=0))
+
+    pooled = src.astype(np.longdouble).mean(axis=(2, 3))
+    ahat, inv1 = norm(pooled @ w1.T, p.n1)
+    u = np.maximum(ahat * g1 + b1, 0)
+    zhat, inv2 = norm(u @ w2.T, p.n2)
+    v = 1 / (1 + np.exp(-(zhat * g2 + b2)))
+    gz = norm_bwd(og * v * (1 - v), zhat, inv2, g2)
+    ga = norm_bwd((gz @ w2) * (ahat * g1 + b1 > 0), ahat, inv1, g1)
+    return ga.T @ pooled
+
+
+def test_collapsed_k1_grads_track_long_double():
+    # with 3 images the batch statistics of a K=1 scale are nearly
+    # degenerate; run as one cell, its reduce.weight grad stays accurate
+    rng = np.random.default_rng(41)
+    for seed in range(3):
+        s = fresh_scale(CoordinateSetSpec("sliding", 1, 32, 32), 6, 2, seed=seed)
+        src = rng.standard_normal((3, 6, 32, 32))
+        og = rng.standard_normal((3, 1, 6))
+        with Tape() as tape:
+            v = s.forward(Tensor(src), training=True)
+            loss = sum_all(mul(v, Tensor(og)))
+        backward(tape, loss)
+        want = long_double_k1_reduce_grad(src, s.params, og[:, 0])
+        got = s.params.w1.grad
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_collapse_leaves_costs_at_paper_convention():
+    # the cost model charges a sliding K=1 scale per position, as the paper counts
+    spec = resnet_cifar(20, 10, MsarSettings((1, 2, 4), "sliding"))
+    rep = report(spec)
+    assert rep.total_params == 285_178
+    assert rep.total_flops == 41_857_664
+    assert build_network(spec, seed=0).parameter_count() == 285_178
