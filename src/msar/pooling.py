@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _emit
+from .tensor import Tensor, _channel_rows, _emit
 
 STRATEGIES = ("sliding", "regional")
 
@@ -246,8 +246,9 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     Both the box mean and the bias-free map w are linear, so this equals
     linear(coordinate_avg_pool(x, spec), w) in exact arithmetic, but the
     window sums run over r channels instead of D.  The projection is one
-    GEMM over x's (D, N*H*W) channel-major view, which is free for
-    conv2d's outputs.  Recorded on the tape as coordinate_avg_pool.
+    GEMM over x's (D, N*H*W) channel-major view, which is free for the
+    outputs of conv2d, batch_norm and concat_channels.  Recorded on the
+    tape as coordinate_avg_pool.
     """
     n, d, height, width = x.shape
     r = w.shape[0]
@@ -256,8 +257,7 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
                          f"sliding spec {spec}")
     if w.shape != (r, d):
         raise ValueError(f"project_pool: weight {w.shape} does not map {d} channels")
-    cols = x.data.transpose(1, 0, 2, 3).reshape(d, -1)
-    z = w.data @ cols                                   # (r, N*H*W)
+    z = w.data @ _channel_rows(x.data)                  # (r, N*H*W)
     y, sizes = _sliding_box_means(z.reshape(r, n, height, width).transpose(1, 0, 2, 3), spec)
     out = Tensor(y)
 
@@ -266,7 +266,7 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
         x.ensure_grad()
         x.grad += (w.data.T @ gz.T).reshape(d, n, height, width).transpose(1, 0, 2, 3)
         w.ensure_grad()
-        w.grad += gz.T @ x.data.transpose(1, 0, 2, 3).reshape(d, -1).T
+        w.grad += gz.T @ _channel_rows(x.data).T
 
     return _emit("coordinate_avg_pool", out, bwd)
 

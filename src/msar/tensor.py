@@ -17,10 +17,12 @@ boundaries.  Convolution copies its input once into zero-padded,
 channel-major stride phases and runs one small GEMM per kernel tap over
 shifted column ranges of them, so no array kh*kw times the size of the
 input is ever built; its output is an (N, F, H, W) view of channel-major
-(F, N, H, W) memory, and elementwise ops keep that layout.  Max pooling
-reads its windows through a strided view of the padded input.  All
-reductions use numpy's fixed evaluation order, so a forward pass is
-bitwise deterministic for identical inputs.
+(F, N, H, W) memory, and elementwise ops keep that layout.  Channel
+concatenation and batch normalization write channel-major too, so
+batch_norm's per-channel reductions run over (C, N*H*W) rows of its
+input without a copy.  Max pooling reads its windows through a strided
+view of the padded input.  All reductions use numpy's fixed evaluation
+order, so a forward pass is bitwise deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -194,13 +196,21 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis (axis 1)."""
+    """Concatenate along the channel axis (axis 1).
+
+    The result is a view of channel-major (C_a + C_b, N, ...) memory, so
+    a following batch_norm or projection reads its channel rows as is.
+    """
     if a.ndim != b.ndim or a.ndim < 2:
         raise ValueError(f"concat_channels: rank mismatch {a.shape} vs {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"concat_channels: incompatible shapes {a.shape} vs {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
     split = a.shape[1]
+    buf = np.empty((split + b.shape[1], a.shape[0]) + a.shape[2:],
+                   np.result_type(a.data, b.data))
+    buf[:split] = np.moveaxis(a.data, 1, 0)
+    buf[split:] = np.moveaxis(b.data, 1, 0)
+    out = Tensor(np.moveaxis(buf, 0, 1))
 
     def bwd(og):
         a.ensure_grad()
@@ -488,6 +498,21 @@ class BNState:
         self.eps = eps
 
 
+def _channel_rows(a):
+    """(C, M) view of a's channel axis (axis 1) against all the others.
+
+    Free for channel-major memory (conv2d and concat_channels outputs)
+    and for a (rows, C) matrix, whose rows come back as a transposed view;
+    only a batch-major map of rank 3 or more is copied by the reshape.
+    """
+    return np.moveaxis(a, 1, 0).reshape(a.shape[1], -1)
+
+
+def _from_rows(rows, shape):
+    """Inverse of _channel_rows: the (C, M) array as `shape`, a view."""
+    return np.moveaxis(rows.reshape((shape[1], shape[0]) + shape[2:]), 0, 1)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
                training: bool) -> Tensor:
     """Per-feature normalization over every axis except axis 1.
@@ -495,50 +520,60 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     Training mode normalizes with the batch moments (biased variance) and
     folds them into the running estimates; eval mode uses the running
     estimates, so each sample's output is independent of the rest of the
-    batch.
+    batch.  Both work on x's (C, M) channel rows.  Training takes the
+    mean, one centred sum of squares, and scales and shifts the centred
+    rows in place into the output; its closure keeps only the per-channel
+    mean and inverse std, and backward recomputes the normalized input
+    from x.  Eval mode is one per-channel affine, x * a + c.  A map comes
+    out channel-major, and a (rows, C) matrix as (rows, C).
     """
     if x.ndim < 2:
         raise ValueError(f"batch_norm: need at least 2-D input, got {x.shape}")
-    axes = (0,) + tuple(range(2, x.ndim))
-    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    g = gamma.data.reshape(shape)
-    b = beta.data.reshape(shape)
     eps = state.eps
+    rows = _channel_rows(x.data)
+    count = rows.shape[1]
 
     if training:
-        m = x.data.mean(axis=axes)
-        v = x.data.var(axis=axes)
+        m = rows.mean(axis=1)
+        y = rows - m[:, None]
+        v = np.einsum("ij,ij->i", y, y) / count
         state.mean += state.momentum * (m - state.mean)
         state.var += state.momentum * (v - state.var)
         inv = 1.0 / np.sqrt(v + eps)
-        xhat = (x.data - m.reshape(shape)) * inv.reshape(shape)
-        out = Tensor(g * xhat + b)
-        count = x.size // x.shape[1]
-
-        def bwd(og):
-            dgam = (og * xhat).sum(axis=axes)
-            dbet = og.sum(axis=axes)
-            gamma.ensure_grad()
-            gamma.grad += dgam
-            beta.ensure_grad()
-            beta.grad += dbet
-            x.ensure_grad()
-            x.grad += (g * inv.reshape(shape) / count) * (
-                count * og - dbet.reshape(shape) - xhat * dgam.reshape(shape))
-
-        return _emit("batch_norm", out, bwd)
-
-    inv = 1.0 / np.sqrt(state.var + eps)
-    xhat = (x.data - state.mean.reshape(shape)) * inv.reshape(shape)
-    out = Tensor(g * xhat + b)
+        a = gamma.data * inv
+        y *= a[:, None]
+        y += beta.data[:, None]
+    else:
+        m = state.mean.copy()
+        inv = 1.0 / np.sqrt(state.var + eps)
+        a = gamma.data * inv
+        y = rows * a[:, None]
+        y += (beta.data - m * a)[:, None]
+    out = Tensor(_from_rows(y, x.shape))
 
     def bwd(og):
+        ogr = _channel_rows(og)
+        d = _channel_rows(x.data) - m[:, None]
+        dbet = ogr.sum(axis=1)
+        dgam = np.einsum("ij,ij->i", ogr, d) * inv
         gamma.ensure_grad()
-        gamma.grad += (og * xhat).sum(axis=axes)
+        gamma.grad += dgam
         beta.ensure_grad()
-        beta.grad += og.sum(axis=axes)
-        x.ensure_grad()
-        x.grad += og * g * inv.reshape(shape)
+        beta.grad += dbet
+        if training:
+            # dx = a * (og - (dbet + xhat * dgam) / count) with xhat = d * inv,
+            # formed in d's buffer
+            d *= (dgam * inv / count)[:, None]
+            d += (dbet / count)[:, None]
+            np.subtract(ogr, d, out=d)
+            d *= a[:, None]
+        else:
+            np.multiply(ogr, a[:, None], out=d)
+        # d is a fresh array: it can become x's gradient slot as it is
+        if x.grad is None:
+            x.grad = _from_rows(d, x.shape)
+        else:
+            x.grad += _from_rows(d, x.shape)
 
     return _emit("batch_norm", out, bwd)
 

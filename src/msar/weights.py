@@ -19,6 +19,8 @@ the network exactly as it was.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAGIC = b"MSAR-WEIGHTS-1\n"
@@ -81,7 +83,7 @@ def load_weights(path: str, network, strict: bool = True) -> None:
     staged = []
     offset = 0
     for name, shape in manifest.items():
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # a Python int: the file's dims may overflow int64
         nbytes = size * 8
         if offset + nbytes > len(body):
             raise ValueError(f"{path}: payload truncated at entry {name}")

@@ -1,8 +1,11 @@
 """Flat config format: parsing, diagnostics, round-trips, resolution."""
 
+import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msar.blocks import MsarSettings
 from msar.config import (SCHEMA, ExperimentConfig, parse_config, serialize_config,
@@ -145,3 +148,30 @@ def test_float_values_survive_roundtrip_exactly():
     cfg = parse_config("optimizer.lr = 0.30000000000000004\n")
     text = serialize_config(cfg)
     assert parse_config(text).optimizer_lr == cfg.optimizer_lr
+
+
+# -- fuzzing: every text parses or fails with its line number -----------------
+
+_VALUES = st.one_of(
+    st.sampled_from(["", "on", "off", "0", "-1", "3", "1,2,4", "1,1", "0,2",
+                     "16:3:1", "16:3", "8:1:3", "1e400", "nan", "-inf", "0x10",
+                     "1_000", "resnet20", "dense", "sliding", "regional", "64"]),
+    st.text(max_size=12))
+_LINES = st.one_of(
+    st.builds(lambda k, v, sep: f"{k}{sep}{v}", st.sampled_from(sorted(SCHEMA)),
+              _VALUES, st.sampled_from([" = ", "=", " =", " ==  "])),
+    st.text(max_size=24))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_LINES, max_size=8))
+def test_fuzzed_text_parses_or_names_its_line(lines):
+    text = "\n".join(lines)
+    try:
+        cfg = parse_config(text)
+    except ValueError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        assert found, str(exc)
+        assert 1 <= int(found.group(1)) <= len(text.splitlines())
+    else:
+        assert isinstance(cfg, ExperimentConfig)

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import msar.pooling
+import msar.tensor
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.tensor import (BNState, Tape, Tensor, add, avg_pool2d, backward,
-                         batch_norm, concat_channels, conv2d, cross_entropy,
-                         global_avg_pool, linear, max_pool2d, mul, relu,
-                         reshape, scale, sigmoid, sum_all)
+from msar.pooling import CoordinateSetSpec, project_pool
+from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
+                         backward, batch_norm, concat_channels, conv2d,
+                         cross_entropy, global_avg_pool, linear, max_pool2d,
+                         mul, relu, reshape, scale, sigmoid, sum_all)
 
 
 def naive_conv2d(x, k, stride, pad):
@@ -322,6 +325,166 @@ def test_batch_norm_eval_uses_running_stats():
     assert np.allclose(out.data, want, atol=1e-12)
     # eval mode must not move the running estimates
     assert st.mean[0] == 1.0 and st.var[1] == 9.0
+
+
+def oracle_batch_norm(x, gamma, beta, state, training):
+    """The ten-pass batch_norm on x's own layout, keeping xhat for backward."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    g = gamma.data.reshape(shape)
+    b = beta.data.reshape(shape)
+    eps = state.eps
+
+    if training:
+        m = x.data.mean(axis=axes)
+        v = x.data.var(axis=axes)
+        state.mean += state.momentum * (m - state.mean)
+        state.var += state.momentum * (v - state.var)
+        inv = 1.0 / np.sqrt(v + eps)
+        xhat = (x.data - m.reshape(shape)) * inv.reshape(shape)
+        out = Tensor(g * xhat + b)
+        count = x.size // x.shape[1]
+
+        def bwd(og):
+            dgam = (og * xhat).sum(axis=axes)
+            dbet = og.sum(axis=axes)
+            gamma.ensure_grad()
+            gamma.grad += dgam
+            beta.ensure_grad()
+            beta.grad += dbet
+            x.ensure_grad()
+            x.grad += (g * inv.reshape(shape) / count) * (
+                count * og - dbet.reshape(shape) - xhat * dgam.reshape(shape))
+
+        return _emit("batch_norm", out, bwd)
+
+    inv = 1.0 / np.sqrt(state.var + eps)
+    xhat = (x.data - state.mean.reshape(shape)) * inv.reshape(shape)
+    out = Tensor(g * xhat + b)
+
+    def bwd(og):
+        gamma.ensure_grad()
+        gamma.grad += (og * xhat).sum(axis=axes)
+        beta.ensure_grad()
+        beta.grad += og.sum(axis=axes)
+        x.ensure_grad()
+        x.grad += og * g * inv.reshape(shape)
+
+    return _emit("batch_norm", out, bwd)
+
+
+def _run_batch_norm(op, x, training, seed, prior_grad=False, dtype=None):
+    """Output, x/gamma/beta grads and running statistics of one op call."""
+    dtype = dtype or x.dtype
+    rng = np.random.default_rng(seed)
+    c = x.shape[1]
+    xt = Tensor(x.astype(dtype))
+    gamma = Tensor(rng.uniform(0.5, 1.5, c), dtype=dtype)
+    beta = Tensor(rng.standard_normal(c), dtype=dtype)
+    state = BNState(c, dtype=dtype)
+    state.mean[:] = rng.standard_normal(c)
+    state.var[:] = rng.uniform(0.5, 2.0, c)
+    probe = Tensor(rng.standard_normal(x.shape), dtype=dtype)
+    if prior_grad:
+        xt.grad = rng.standard_normal(x.shape).astype(dtype)
+    with Tape() as tape:
+        out = op(xt, gamma, beta, state, training)
+        loss = sum_all(mul(out, probe))
+    backward(tape, loss)
+    return out.data, xt.grad, gamma.grad, beta.grad, state.mean, state.var
+
+
+def _layout(x, layout):
+    """x's values in channel-major memory, or as they come."""
+    if layout == "channel-major":
+        return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    return x
+
+
+BN_CASES = [((6, 5, 7, 7), "channel-major"), ((6, 5, 7, 7), "batch-major"),
+            ((40, 9), "2-D")]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape, layout", BN_CASES)
+def test_batch_norm_matches_oracle(shape, layout, training, dtype, tol):
+    # the three-pass path against the ten-pass one it replaced: output, the
+    # three gradients and both running statistics, on every input layout,
+    # into a fresh gradient slot and into one that already holds a value
+    x = _layout(np.random.default_rng(40).standard_normal(shape) * 2.0 + 0.5, layout)
+    for prior_grad in (False, True):
+        got = _run_batch_norm(batch_norm, x.astype(dtype), training, 41, prior_grad)
+        want = _run_batch_norm(oracle_batch_norm, x.astype(dtype), training, 41, prior_grad)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+def test_batch_norm_float32_large_offset_keeps_precision():
+    # mean 1e3, std 0.1: a one-pass E[x^2] - E[x]^2 would lose every digit
+    # of the variance in float32.  The centred sums keep the running variance
+    # and the beta gradient at float32 accuracy.  The rest carry the float32
+    # batch mean's own rounding, up to eps * mean / std (6e-4) of the float64
+    # result on the same values; the eval affine's x * a rounds at that scale too
+    rng = np.random.default_rng(42)
+    x = _layout(1e3 + 0.1 * rng.standard_normal((32, 8, 16, 16)), "channel-major")
+    x = x.astype(np.float32)
+    resolution = np.finfo(np.float32).eps * 1e3 / 0.1
+    for training in (True, False):
+        got = _run_batch_norm(batch_norm, x, training, 43)
+        want = _run_batch_norm(oracle_batch_norm, x, training, 43, dtype=np.float64)
+        tols = (resolution, resolution, resolution, 1e-5, 1e-5, 1e-5)
+        for a, b, tol in zip(got, want, tols):
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+@pytest.mark.parametrize("layout", ["channel-major", "batch-major"])
+def test_batch_norm_tape_keeps_no_input_copy(layout):
+    # the closure keeps the per-channel mean and inverse std, not xhat: the
+    # tape holds the output plus O(C), and no kept array is input-sized
+    rng = np.random.default_rng(44)
+    x = Tensor(_layout(rng.standard_normal((16, 8, 16, 16)), layout))
+    gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, BNState(8), training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + 64 * 1024
+    (_name, _out, bwd), = tape._entries
+    for cell in bwd.__closure__:
+        if isinstance(cell.cell_contents, np.ndarray):
+            assert cell.cell_contents.nbytes < x.data.nbytes
+
+
+def test_concat_output_is_read_as_channel_rows_without_copy(monkeypatch):
+    # dense steps normalize, and may sliding-pool, concat_channels outputs:
+    # both ops must take their (D, N*H*W) rows as a view of that output
+    rng = np.random.default_rng(45)
+    a = Tensor(rng.standard_normal((2, 3, 6, 6)))
+    b = Tensor(rng.standard_normal((2, 4, 6, 6)))
+    cat = concat_channels(a, b)
+    assert np.array_equal(cat.data, np.concatenate([a.data, b.data], axis=1))
+    rows = msar.tensor._channel_rows
+    views = []
+
+    def spy(arr):
+        out = rows(arr)
+        views.append(np.shares_memory(out, arr))
+        return out
+
+    monkeypatch.setattr(msar.tensor, "_channel_rows", spy)
+    monkeypatch.setattr(msar.pooling, "_channel_rows", spy)
+    w = Tensor(rng.standard_normal((2, 7)))
+    with Tape() as tape:
+        y = batch_norm(cat, Tensor(np.ones(7)), Tensor(np.zeros(7)), BNState(7), True)
+        z = project_pool(cat, w, CoordinateSetSpec("sliding", 1, 6, 6))
+        loss = add(sum_all(mul(y, y)), sum_all(mul(z, z)))
+    backward(tape, loss)
+    assert len(views) == 5 and all(views)
 
 
 def test_sigmoid_known_value():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msar.blocks import (MsarSettings, NetworkSpec, StageSpec, build_network)
 from msar.tensor import Tensor
@@ -236,5 +238,82 @@ def test_malformed_manifest_entry_named(tmp_path, bad_line):
     net = build_network(SPEC, seed=2)
     before = snapshot(net)
     with pytest.raises(ValueError, match="w.bin: malformed manifest entry 1$"):
+        load_weights(str(path), net)
+    assert_unchanged(net, before)
+
+
+# -- fuzzing: a damaged file loads or fails by name, leaving the network as is --
+
+# file-level diagnostics; every other one names a manifest entry
+_FILE_ERRORS = ("bad magic", "malformed entry count", "trailing payload bytes")
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """A path to write damaged files to, and the intact file's bytes."""
+    src = build_network(SPEC, seed=1)
+    drift(src, 15)
+    path = tmp_path_factory.mktemp("fuzz") / "w.bin"
+    save_weights(str(path), src)
+    return path, path.read_bytes()
+
+
+def _load_or_name_the_damage(path, blob, strict):
+    path.write_bytes(blob)
+    net = build_network(SPEC, seed=2)
+    before = snapshot(net)
+    try:
+        load_weights(str(path), net, strict=strict)
+    except ValueError as exc:
+        msg = str(exc)
+        assert msg.startswith(f"{path}: ")
+        assert any(word in msg for word in ("entry", "parameter") + _FILE_ERRORS), msg
+        assert_unchanged(net, before)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), strict=st.booleans())
+def test_fuzzed_bytes_load_or_fail_by_name(fuzz_file, data, strict):
+    path, good = fuzz_file
+    at = data.draw(st.integers(0, len(good)))
+    edit = data.draw(st.sampled_from(["cut", "flip", "insert"]))
+    if edit == "cut":
+        blob = good[:at]
+    elif edit == "flip":
+        blob = good[:at] + bytes([data.draw(st.integers(0, 255))]) + good[at + 1:]
+    else:
+        blob = good[:at] + data.draw(st.binary(min_size=1, max_size=16)) + good[at:]
+    _load_or_name_the_damage(path, blob, strict)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), strict=st.booleans())
+def test_fuzzed_manifest_lines_load_or_fail_by_name(fuzz_file, data, strict):
+    path, good = fuzz_file
+    lines = good.split(b"\n")
+    # lines[0] is the magic, lines[1] the entry count, then one per entry
+    i = data.draw(st.integers(1, int(lines[1]) + 1))
+    names = [ln.split(b" ")[0] for ln in lines[2:int(lines[1]) + 2]]
+    name = st.one_of(st.just(lines[i].split(b" ")[0]), st.sampled_from(names))
+    dim = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 2 ** 63, 2 ** 64]),
+                    st.integers(-2, 2 ** 70))
+    dims = st.lists(dim, max_size=4).map(
+        lambda ds: ",".join(map(str, ds)).encode())
+    lines[i] = data.draw(st.one_of(
+        st.builds(lambda n, d: n + b" " + d, name, dims),
+        st.binary(max_size=24),
+        st.integers(-5, 10 ** 30).map(lambda n: str(n).encode())))
+    _load_or_name_the_damage(path, b"\n".join(lines), strict)
+
+
+def test_dims_past_int64_rejected_by_name(tmp_path):
+    src = build_network(SPEC, seed=1)
+    path = tmp_path / "w.bin"
+    save_weights(str(path), src)
+    path.write_bytes(path.read_bytes().replace(b"stem.norm.gamma 4\n",
+                                               b"stem.norm.gamma 18446744073709551616\n"))
+    net = build_network(SPEC, seed=2)
+    before = snapshot(net)
+    with pytest.raises(ValueError, match="payload truncated at entry stem.norm.gamma$"):
         load_weights(str(path), net)
     assert_unchanged(net, before)
