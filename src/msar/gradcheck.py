@@ -40,18 +40,19 @@ def check_gradients(fn, tensors, rng, samples_per_tensor=24, step=STEP):
 
     worst = 0.0
     for t, grad in zip(tensors, analytic):
-        flat = t.data.reshape(-1)
-        n = flat.size
+        n = t.size
         idx = np.arange(n) if n <= samples_per_tensor else rng.choice(
             n, size=samples_per_tensor, replace=False)
         for i in idx:
-            keep = flat[i]
-            flat[i] = keep + step
+            # index the array itself: reshape(-1) copies a non-C-contiguous one
+            at = np.unravel_index(i, t.shape)
+            keep = t.data[at]
+            t.data[at] = keep + step
             hi = float((fn().data * probe.data).sum())
-            flat[i] = keep - step
+            t.data[at] = keep - step
             lo = float((fn().data * probe.data).sum())
-            flat[i] = keep
+            t.data[at] = keep
             numeric = (hi - lo) / (2.0 * step)
-            err = relative_error(float(grad.reshape(-1)[i]), numeric)
+            err = relative_error(float(grad[at]), numeric)
             worst = max(worst, err)
     return worst

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _channel_rows, _emit
+from .tensor import Tensor, _accumulate, _channel_rows, _emit
 
 STRATEGIES = ("sliding", "regional")
 
@@ -217,11 +217,10 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
     out = Tensor(y)
 
     def bwd(og):
-        x.ensure_grad()
         if regional:
-            x.grad += _gate_map([og / sizes], [spec])
+            _accumulate(x, _gate_map([og / sizes], [spec]))
         else:
-            x.grad += _sliding_box_adjoint(og, sizes, spec).transpose(0, 3, 1, 2)
+            _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(0, 3, 1, 2))
 
     return _emit("coordinate_avg_pool", out, bwd)
 
@@ -263,10 +262,8 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
     def bwd(og):
         gz = _sliding_box_adjoint(og, sizes, spec).reshape(-1, r)   # (N*H*W, r)
-        x.ensure_grad()
-        x.grad += (w.data.T @ gz.T).reshape(d, n, height, width).transpose(1, 0, 2, 3)
-        w.ensure_grad()
-        w.grad += gz.T @ _channel_rows(x.data).T
+        _accumulate(x, (w.data.T @ gz.T).reshape(d, n, height, width).transpose(1, 0, 2, 3))
+        _accumulate(w, gz.T @ _channel_rows(x.data).T)
 
     return _emit("coordinate_avg_pool", out, bwd)
 
@@ -300,10 +297,14 @@ def _gate_map(vs, specs) -> np.ndarray:
 
 
 def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
-    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D)."""
+    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D).
+
+    The result is a new array, never a view of g, so that it can become a
+    gradient slot of its own.
+    """
     n, d = g.shape[:2]
     if spec.strategy == "sliding":
-        return g.transpose(0, 2, 3, 1).reshape(n, -1, d)
+        return g.transpose(0, 2, 3, 1).reshape(n, -1, d).copy()
     he, we = _grid(spec)
     return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
                      for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])], axis=1)
@@ -324,8 +325,7 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
     out = Tensor(_gate_map([z.data], [spec]))
 
     def bwd(og):
-        z.ensure_grad()
-        z.grad += _cell_sums(og, spec)
+        _accumulate(z, _cell_sums(og, spec))
 
     return _emit("broadcast_weights", out, bwd)
 
@@ -334,22 +334,23 @@ def gate(x: Tensor, vs, specs) -> Tensor:
     """x * mean_s broadcast(vs[s], specs[s]) as one op.
 
     vs[s] holds the (N, M_s, D) gate vectors of scale s.  The closure
-    keeps x, the vectors and the specs; backward rebuilds the mean map,
-    gives x og * mean, and gives each vs[s] the cell sums of og * x / S
-    over its own cells (for sliding, og * x / S itself).
+    keeps x, the vectors and the specs.  Backward gives each vs[s] the
+    cell sums of og * x / S over its own cells (for sliding, og * x / S
+    itself), then rebuilds the mean map and gives x og * mean, formed in
+    og's buffer, so that og * x is gone before x's gradient is made.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
     out = Tensor(x.data * _gate_map([v.data for v in vs], specs))
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og * _gate_map([v.data for v in vs], specs)
         g = og * x.data
         if len(vs) > 1:
-            g = g * (1.0 / len(vs))
+            g *= 1.0 / len(vs)
         for v, spec in zip(vs, specs):
-            v.ensure_grad()
-            v.grad += _cell_sums(g, spec)
+            _accumulate(v, _cell_sums(g, spec))
+        del g
+        og *= _gate_map([v.data for v in vs], specs)
+        _accumulate(x, og)
 
     return _emit("gate", out, bwd)

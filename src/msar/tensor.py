@@ -9,7 +9,11 @@ topologically ordered by construction and every operation is visited
 exactly once in each direction.  Gradient slots of tensors the tape
 produced (everything but the loss) are released as soon as their
 closure has consumed them, so after backward() only the loss and the
-leaves (parameters, inputs) hold a .grad.
+leaves (parameters, inputs) hold a .grad.  An empty slot is not
+zero-filled to add one array into: _accumulate hands the closure's
+fresh gradient (or og itself, or a view of it) over as the slot, so
+each slot is an array no other slot shares.  relu keeps no mask on the
+tape; its backward reads the mask from its output.
 
 Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
@@ -26,6 +30,8 @@ order, so a forward pass is bitwise deterministic for identical inputs.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -137,10 +143,30 @@ def backward(tape, loss):
         raise ValueError("backward before forward: loss was not produced under this tape")
     loss.grad = np.ones_like(loss.data)
     for _name, out, fn in reversed(tape._entries):
-        if out.grad is not None:
+        if out is loss:
+            # the loss keeps its ones; the closure gets its own, which it
+            # may hand on as a slot or consume in place
+            fn(np.ones_like(loss.data))
+        elif out.grad is not None:
             fn(out.grad)
-            if out is not loss:
-                out.grad = None
+            out.grad = None
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """Add the gradient g into t's slot.
+
+    An empty slot takes g itself when g is an array of t's shape and
+    dtype.  g must then be an array nothing else holds: the closure's own
+    result, or og or a view of it, which backward() drops when the
+    closure returns.  Otherwise the slot is zero-filled and g added, the
+    same values (0 + g == g; only a zero's sign can differ).
+    """
+    if t.grad is None and isinstance(g, np.ndarray) and g.shape == t.shape \
+            and g.dtype == t.dtype:
+        t.grad = g
+    else:
+        t.ensure_grad()
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +179,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(og):
-        a.ensure_grad()
-        a.grad += og
-        b.ensure_grad()
-        b.grad += og
+        _accumulate(a, og)
+        # og may be a's slot now
+        _accumulate(b, og.copy())
 
     return _emit("add", out, bwd)
 
@@ -167,10 +192,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(og):
-        a.ensure_grad()
-        a.grad += og * b.data
-        b.ensure_grad()
-        b.grad += og * a.data
+        _accumulate(a, og * b.data)
+        _accumulate(b, og * a.data)
 
     return _emit("mul", out, bwd)
 
@@ -179,8 +202,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c)
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og * c
+        _accumulate(x, og * c)
 
     return _emit("scale", out, bwd)
 
@@ -189,8 +211,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og.reshape(x.shape)
+        _accumulate(x, og.reshape(x.shape))
 
     return _emit("reshape", out, bwd)
 
@@ -213,10 +234,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.moveaxis(buf, 0, 1))
 
     def bwd(og):
-        a.ensure_grad()
-        a.grad += og[:, :split]
-        b.ensure_grad()
-        b.grad += og[:, split:]
+        _accumulate(a, og[:, :split])
+        _accumulate(b, og[:, split:])
 
     return _emit("concat_channels", out, bwd)
 
@@ -225,8 +244,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.sum()))
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og  # og is scalar, broadcasts
+        _accumulate(x, og)  # og is scalar, broadcasts
 
     return _emit("sum_all", out, bwd)
 
@@ -236,13 +254,16 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); subgradient at 0 is taken as 0."""
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    """max(x, 0); subgradient at 0 is taken as 0, and NaN propagates.
+
+    Backward masks og in place with out > 0, which equals x > 0, so the
+    tape keeps no mask.
+    """
+    out = Tensor(np.maximum(x.data, 0))
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og * mask
+        og *= out.data > 0
+        _accumulate(x, og)
 
     return _emit("relu", out, bwd)
 
@@ -251,12 +272,12 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, numerically stable for both signs."""
     d = x.data
     e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    # exp(min(d, 0)) is e for d < 0 and 1 for d >= 0
+    s = np.exp(np.minimum(d, 0)) / (1.0 + e)
     out = Tensor(s)
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og * s * (1.0 - s)
+        _accumulate(x, og * s * (1.0 - s))
 
     return _emit("sigmoid", out, bwd)
 
@@ -275,13 +296,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = Tensor(y)
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og @ w.data
-        w.ensure_grad()
-        w.grad += og.T @ x.data
+        _accumulate(x, og @ w.data)
+        _accumulate(w, og.T @ x.data)
         if b is not None:
-            b.ensure_grad()
-            b.grad += og.sum(axis=0)
+            _accumulate(b, og.sum(axis=0))
 
     return _emit("linear", out, bwd)
 
@@ -360,6 +378,9 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     taps = [(i, j, (i % s, j % s), i // s * wq + j // s) for i in range(kh) for j in range(kw)]
     phases = {p: (_phase_axis(p[0], h, hq, s, pad), _phase_axis(p[1], w, wq, s, pad))
               for _i, _j, p, _off in taps}
+    # the phases read disjoint input positions; whole if they read them all
+    whole = sum(len(range(h)[ia]) * len(range(w)[ib])
+                for (_ga, ia), (_gb, ib) in phases.values()) == h * w
     dt = np.result_type(x.data, k.data)
 
     def split():
@@ -407,8 +428,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         for i, j, p, off in taps:
             np.matmul(g, bufs[p][:, off:off + cols].T, out=dk[i, j])
         del bufs
-        k.ensure_grad()
-        k.grad += dk.transpose(2, 3, 0, 1)
+        _accumulate(k, dk.transpose(2, 3, 0, 1))
         # the adjoint of the forward's shifted reads: phase column q takes
         # tap t's K^T @ og from output column q - off_t
         kt = taps_of(k.data)
@@ -422,10 +442,17 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 np.matmul(kt[i, j].T, src, out=part)
                 dbufs[p] += part
         del part, gm, g
-        x.ensure_grad()
-        xg = x.grad.transpose(1, 0, 2, 3)
-        for p, ((ga, ia), (gb, ib)) in phases.items():
-            xg[:, :, ia, ib] += dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+        if x.grad is None:
+            # written once, not zero-filled and added to; over zeros only
+            # where some input position is read by no tap
+            xg = (np.empty if whole else np.zeros)((c, n, h, w), x.dtype)
+            for p, ((ga, ia), (gb, ib)) in phases.items():
+                xg[:, :, ia, ib] = dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+            _accumulate(x, xg.transpose(1, 0, 2, 3))
+        else:
+            xg = x.grad.transpose(1, 0, 2, 3)
+            for p, ((ga, ia), (gb, ib)) in phases.items():
+                xg[:, :, ia, ib] += dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
 
     return _emit("conv2d", out, bwd)
 
@@ -438,26 +465,31 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(2, 3)))
 
     def bwd(og):
-        x.ensure_grad()
-        x.grad += og[:, :, None, None] / (h * w)
+        _accumulate(x, og[:, :, None, None] / (h * w))
 
     return _emit("global_avg_pool", out, bwd)
 
 
 def avg_pool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping size x size average pooling; H, W must divide."""
+    """Non-overlapping size x size average pooling; H, W must divide.
+
+    The window sum adds strided slices of x, each window row's columns
+    and then the rows, left to right ((a00 + a01) + (a10 + a11) at size
+    2), and is divided by size * size.  Backward spreads og / size**2
+    over each window into channel-major memory, like a conv2d output.
+    """
     n, d, h, w = x.shape
     if h % size or w % size:
         raise ValueError(f"avg_pool2d: {h}x{w} not divisible by {size}")
     oh, ow = h // size, w // size
-    blocks = x.data.reshape(n, d, oh, size, ow, size)
-    out = Tensor(blocks.mean(axis=(3, 5)))
+    rows = [reduce(np.add, (x.data[:, :, i::size, j::size] for j in range(size)))
+            for i in range(size)]
+    out = Tensor(reduce(np.add, rows) / (size * size))
 
     def bwd(og):
-        x.ensure_grad()
-        g = np.broadcast_to(og[:, :, :, None, :, None],
-                            (n, d, oh, size, ow, size)) / (size * size)
-        x.grad += g.reshape(n, d, h, w)
+        g = np.broadcast_to(og.transpose(1, 0, 2, 3)[:, :, :, None, :, None],
+                            (d, n, oh, size, ow, size)) / (size * size)
+        _accumulate(x, g.reshape(d, n, h, w).transpose(1, 0, 2, 3))
 
     return _emit("avg_pool2d", out, bwd)
 
@@ -474,12 +506,11 @@ def max_pool2d(x: Tensor, size: int, stride: int, pad: int = 0) -> Tensor:
     out = Tensor(np.take_along_axis(wins, arg[..., None], axis=4)[..., 0])
 
     def bwd(og):
-        x.ensure_grad()
         gimg = np.zeros(padded, dtype=x.dtype)
         ii, jj = np.divmod(arg, size)
         on, od, oy, ox = np.indices((n, d, oh, ow))
         np.add.at(gimg, (on, od, oy * stride + ii, ox * stride + jj), og)
-        x.grad += gimg[:, :, pad:pad + h, pad:pad + w]
+        _accumulate(x, gimg[:, :, pad:pad + h, pad:pad + w])
 
     return _emit("max_pool2d", out, bwd)
 
@@ -556,10 +587,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         d = _channel_rows(x.data) - m[:, None]
         dbet = ogr.sum(axis=1)
         dgam = np.einsum("ij,ij->i", ogr, d) * inv
-        gamma.ensure_grad()
-        gamma.grad += dgam
-        beta.ensure_grad()
-        beta.grad += dbet
+        _accumulate(gamma, dgam)
+        _accumulate(beta, dbet)
         if training:
             # dx = a * (og - (dbet + xhat * dgam) / count) with xhat = d * inv,
             # formed in d's buffer
@@ -569,11 +598,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
             d *= a[:, None]
         else:
             np.multiply(ogr, a[:, None], out=d)
-        # d is a fresh array: it can become x's gradient slot as it is
-        if x.grad is None:
-            x.grad = _from_rows(d, x.shape)
-        else:
-            x.grad += _from_rows(d, x.shape)
+        _accumulate(x, _from_rows(d, x.shape))
 
     return _emit("batch_norm", out, bwd)
 
@@ -599,9 +624,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(nll.mean()))
 
     def bwd(og):
-        logits.ensure_grad()
         g = probs.copy()
         g[np.arange(n), labels] -= 1.0
-        logits.grad += og * g / n
+        _accumulate(logits, og * g / n)
 
     return _emit("cross_entropy", out, bwd)

@@ -1,5 +1,6 @@
 """Tensor engine checks against naive oracles and finite differences."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import msar.pooling
 import msar.tensor
+from msar.blocks import MsarSettings, build_network, densenet_cifar, resnet_cifar
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import CoordinateSetSpec, project_pool
 from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
@@ -701,3 +703,215 @@ def test_backward_releases_intermediate_grads():
     assert y.grad is None and z.grad is None
     for _name, out, _fn in tape._entries:
         assert (out.grad is None) == (out is not loss)
+
+
+# ---------------------------------------------------------------------------
+# gradient slots: handed over, never zero-filled and added into
+# ---------------------------------------------------------------------------
+
+def zero_fill_then_add(t, g):
+    """How every closure accumulated before empty slots were handed over."""
+    t.ensure_grad()
+    t.grad += g
+
+
+def _slot_cases():
+    """(name, leaves, fn) for every taped op; fn maps the leaves to one output."""
+    rng = np.random.default_rng(40)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape))
+
+    def cm(*shape):
+        return Tensor(_channel_major(rng.standard_normal(shape)))
+
+    x, y = leaf(2, 3, 6, 6), leaf(2, 3, 6, 6)
+    m, w, b = leaf(5, 6), leaf(4, 6), leaf(4)
+    gam, bet = Tensor(rng.uniform(0.5, 1.5, 3)), leaf(3)
+    st = BNState(3)
+    reg = [CoordinateSetSpec("regional", k, 6, 6) for k in (1, 2, 3)]
+    sld = [CoordinateSetSpec("sliding", k, 6, 6) for k in (2, 4)]
+    vr = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in reg]
+    vs = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in sld]
+    pw = leaf(2, 3)
+    labels = np.array([0, 3, 1, 5, 2])
+    cases = [
+        ("add", [x, y], lambda: add(x, y)),
+        ("add-self", [x], lambda: add(x, x)),
+        ("mul", [x, y], lambda: mul(x, y)),
+        ("mul-self", [x], lambda: mul(x, x)),
+        ("scale", [x], lambda: scale(x, -1.5)),
+        ("reshape", [x], lambda: reshape(x, (6, 36))),
+        ("concat", [x, y], lambda: concat_channels(x, y)),
+        ("concat-self", [x], lambda: concat_channels(x, x)),
+        ("sum_all", [x], lambda: sum_all(x)),
+        ("relu", [x], lambda: relu(x)),
+        ("sigmoid", [x], lambda: sigmoid(x)),
+        ("linear", [m, w, b], lambda: linear(m, w, b)),
+        ("global_avg_pool", [x], lambda: global_avg_pool(x)),
+        ("avg_pool2d", [x], lambda: avg_pool2d(x, 2)),
+        ("avg_pool2d-3", [x], lambda: avg_pool2d(x, 3)),
+        ("max_pool2d", [x], lambda: max_pool2d(x, 3, 2, 1)),
+        ("batch_norm-train", [x, gam, bet], lambda: batch_norm(x, gam, bet, st, True)),
+        ("batch_norm-eval", [x, gam, bet], lambda: batch_norm(x, gam, bet, st, False)),
+        ("cross_entropy", [m], lambda: cross_entropy(m, labels)),
+        ("regional-pool", [x], lambda: msar.pooling.coordinate_avg_pool(x, reg[1])),
+        ("sliding-pool", [x], lambda: msar.pooling.coordinate_avg_pool(x, sld[0])),
+        ("project_pool", [x, pw], lambda: project_pool(x, pw, sld[1])),
+        ("broadcast-regional", [vr[1]], lambda: msar.pooling.broadcast_weights(vr[1], reg[1])),
+        ("broadcast-sliding", [vs[0]], lambda: msar.pooling.broadcast_weights(vs[0], sld[0])),
+        ("gate-regional", [x] + vr, lambda: msar.pooling.gate(x, vr, reg)),
+        ("gate-sliding", [x] + vs, lambda: msar.pooling.gate(x, vs, sld)),
+    ]
+    for name, case in LAYER_CASES.items():
+        n, c, f, h, wd, k, stride, pad = case
+        xc, kc = cm(n, c, h, wd), leaf(f, c, k, k)
+        cases.append((f"conv2d-{name}", [xc, kc],
+                      lambda xc=xc, kc=kc, stride=stride, pad=pad: conv2d(xc, kc, stride, pad)))
+    return cases
+
+
+SLOT_CASES = _slot_cases()
+
+
+def _slot_grads(leaves, fn, prior, seed=41):
+    """Leaf gradients after one backward of probe . fn(); prior fills the slots first."""
+    rng = np.random.default_rng(seed)
+    for t in leaves:
+        t.grad = rng.standard_normal(t.shape) if prior else None
+    probe = Tensor(rng.standard_normal(fn().shape))
+    with Tape() as tape:
+        loss = sum_all(mul(fn(), probe))
+    backward(tape, loss)
+    return [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("prior", [False, True], ids=["empty", "filled"])
+@pytest.mark.parametrize("name, leaves, fn", SLOT_CASES, ids=[c[0] for c in SLOT_CASES])
+def test_backward_matches_zero_fill_then_add(name, leaves, fn, prior, monkeypatch):
+    # equal values; a handed-over zero keeps its sign where 0 + g gives +0
+    got = _slot_grads(leaves, fn, prior)
+    monkeypatch.setattr(msar.tensor, "_accumulate", zero_fill_then_add)
+    monkeypatch.setattr(msar.pooling, "_accumulate", zero_fill_then_add)
+    want = _slot_grads(leaves, fn, prior)
+    for g, wg in zip(got, want):
+        assert g.shape == wg.shape and g.dtype == wg.dtype
+        assert np.array_equal(g, wg)
+
+
+def _assert_slots_apart(loss, leaves):
+    assert loss.grad.tobytes() == np.ones_like(loss.data).tobytes()
+    slots = [loss.grad] + [t.grad for t in leaves if t.grad is not None]
+    for i, a in enumerate(slots):
+        for b in slots[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("name", ["add-self", "add", "concat", "concat-self", "reshape",
+                                  "gate-regional", "gate-sliding"])
+def test_handed_over_slots_share_no_memory(name):
+    _name, leaves, fn = next(c for c in SLOT_CASES if c[0] == name)
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        loss = sum_all(fn())
+    backward(tape, loss)
+    _assert_slots_apart(loss, leaves)
+
+
+def test_loss_grad_stays_ones_when_its_closure_consumes_og():
+    # relu masks its og in place; the loss's closure must get its own ones
+    x = Tensor(-np.ones(3))
+    with Tape() as tape:
+        loss = relu(sum_all(x))
+    backward(tape, loss)
+    assert loss.grad == 1.0 and list(x.grad) == [0.0, 0.0, 0.0]
+
+
+def _small_net_step(strategy, dense=False, batch=2):
+    """One training step of a seed-7 msar net: (loss, parameter tensors)."""
+    settings = MsarSettings(scales=(1, 2, 4), strategy=strategy)
+    spec = densenet_cifar(40, 12, 10, settings) if dense else resnet_cifar(20, 10, settings)
+    net = build_network(spec, seed=7)
+    rng = np.random.default_rng(7)
+    with Tape() as tape:
+        logits = net.forward(Tensor(rng.standard_normal((batch, 3, 32, 32))), training=True)
+        loss = cross_entropy(logits, rng.integers(0, 10, batch))
+    backward(tape, loss)
+    return loss, [t for _, t, _ in net.parameters()]
+
+
+@pytest.mark.parametrize("strategy", ["regional", "sliding"])
+def test_msar_step_slots_share_no_memory(strategy):
+    loss, params = _small_net_step(strategy)
+    _assert_slots_apart(loss, params)
+
+
+def test_msar_steps_zero_fill_only_the_global_pool(monkeypatch):
+    # zero-fill-then-add filled every slot (74 of 1 MiB or more, 594 MB, on
+    # a regional resnet20 step at batch 128); only global_avg_pool's broadcast
+    # (N, D, 1, 1) gradient still needs a zeroed slot under it
+    filled = []
+    plain = Tensor.ensure_grad
+
+    def spy(self):
+        if self.grad is None:
+            frame = sys._getframe(1)
+            while not frame.f_code.co_qualname.endswith(".<locals>.bwd"):
+                frame = frame.f_back
+            filled.append((frame.f_code.co_qualname.split(".")[0], self.ndim))
+        return plain(self)
+
+    monkeypatch.setattr(Tensor, "ensure_grad", spy)
+    for strategy, dense in (("regional", False), ("sliding", False), ("regional", True)):
+        filled.clear()
+        _small_net_step(strategy, dense)
+        assert filled == [("global_avg_pool", 4)]
+
+
+def test_relu_matches_where_oracle_and_propagates_nan():
+    rng = np.random.default_rng(42)
+    for dtype in (np.float64, np.float32):
+        x = np.concatenate([rng.standard_normal(1000), [0.0, -0.0, 1e-310, -1e-310,
+                                                        np.finfo(dtype).max]]).astype(dtype)
+        got = relu(Tensor(x)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.where(x > 0, x, 0.0))
+    xt = Tensor(np.array([np.nan, -1.0, 2.0]))
+    with Tape() as tape:
+        out = relu(xt)
+        loss = sum_all(mul(out, Tensor(np.array([3.0, 4.0, 5.0]))))
+    backward(tape, loss)
+    assert np.isnan(out.data[0]) and list(out.data[1:]) == [0.0, 2.0]
+    assert list(xt.grad) == [0.0, 0.0, 5.0]
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_avg_pool2d_matches_mean_oracle(dtype, layout):
+    # the 6-D mean it replaced: bitwise at size 2, summation order aside otherwise
+    rng = np.random.default_rng(43)
+    for shape, size in (((2, 5, 8, 8), 2), ((3, 168, 32, 32), 2), ((2, 4, 12, 12), 3),
+                        ((2, 4, 12, 12), 4), ((2, 3, 6, 6), 1)):
+        x = rng.standard_normal(shape).astype(dtype)
+        if layout == "channel-major":
+            x = _channel_major(x)
+        n, d, h, w = shape
+        want = x.reshape(n, d, h // size, size, w // size, size).mean(axis=(3, 5))
+        got = avg_pool2d(Tensor(x), size).data
+        assert got.dtype == dtype
+        if size == 2:
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        elif dtype == np.float64:
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_check_gradients_perturbs_non_contiguous_leaves():
+    # reshape(-1) of a channel-major leaf is a copy: perturbing it moved
+    # nothing, every numeric derivative read 0 and the error read 1.0
+    rng = np.random.default_rng(44)
+    x = Tensor(_channel_major(rng.standard_normal((2, 3, 4, 4))))
+    assert not x.data.flags.c_contiguous
+    assert check_gradients(lambda: relu(x), [x], rng) < TOLERANCE
+    k = Tensor(rng.standard_normal((3, 4, 3, 3)).transpose(1, 0, 2, 3))
+    assert check_gradients(lambda: conv2d(x, k, 1, 1), [x, k], rng) < TOLERANCE
