@@ -11,7 +11,8 @@ one run at a time, the parent first in even pairs and the change first
 in odd ones; T is BENCHMARK.json's run_seconds.  BENCH_<label>.json
 then holds, per workload and end-to-end metric, both sides' medians and
 quartiles, the pairs the change won and lost (ties count for neither),
-failed and attempted checks, and the machine line of the runs.
+failed and attempted checks with each failure's side, seed and message,
+and the machine line of the runs.
 """
 
 from __future__ import annotations
@@ -25,19 +26,31 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+CHECK_FAILED = "check failed: "
 
 
 def run_once(tree, workload, seed, seconds):
-    """One benchmark run: (result dict, machine dict); failures count as a failed check."""
+    """One benchmark run: (result dict, machine dict); failures count as a failed check.
+
+    The result also holds the run's seed and what failed: run.py's
+    `check failed:` lines, or the last line a run that stopped early
+    wrote to standard error.
+    """
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    errors = proc.stderr.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"failed": 1, "attempted": 1, "metrics": {}}, None
+        return {"failed": 1, "attempted": 1, "metrics": {}, "seed": seed,
+                "failures": errors[-1:] or [f"exit code {proc.returncode}"]}, None
     machine = next((json.loads(line[len("machine "):]) for line in lines
                     if line.startswith("machine ")), None)
-    return json.loads(lines[-1]), machine
+    result = json.loads(lines[-1])
+    result["seed"] = seed
+    result["failures"] = [line[len(CHECK_FAILED):] for line in errors
+                          if line.startswith(CHECK_FAILED)]
+    return result, machine
 
 
 def spread(values):
@@ -52,6 +65,9 @@ def summarize(pairs, metric_specs):
     out = {f"{key}_{side}": sum(r[key] for r in results)
            for key in ("failed", "attempted")
            for side, results in zip(SIDES, zip(*pairs))}
+    out["failures"] = [{"side": side, "seed": r.get("seed"), "what": what}
+                       for side, results in zip(SIDES, zip(*pairs))
+                       for r in results for what in r.get("failures", [])]
     metrics = {}
     for spec in metric_specs:
         name, higher = spec["name"], spec["better"] == "higher"

@@ -21,7 +21,7 @@ from .costs import report
 from .data import channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
 from .pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool, gate,
-                      project_pool)
+                      project_pool, regional_pool)
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
@@ -231,6 +231,12 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     x15, w15 = t(2, 3, 8, 8), t(2, 3)
     rows.append(("project_pool[sliding]",
                  lambda: project_pool(x15, w15, sl), [x15, w15]))
+
+    # one pass for K = 1, 2, 3 on a 7x5 lattice, read back through the gate
+    x16, g16 = t(2, 3, 5, 7), t(2, 3, 5, 7)
+    gs16 = [CoordinateSetSpec("regional", k, 7, 5) for k in (1, 2, 3)]
+    rows.append(("regional_pool",
+                 lambda: gate(g16, regional_pool(x16, gs16), gs16), [x16, g16]))
     return rows
 
 

@@ -15,9 +15,10 @@ Conventions, applied uniformly:
   are charged for parameters but excluded from the multiply budget,
   which covers only feature-producing convolutions and the classifier;
 * a recalibration site is charged once per image for pooling (one
-  summed-area pass over its input map, shared by all scales) and per
-  scale for the two bottleneck transforms applied to every pooled
-  vector.
+  pass over its input map, shared by all scales) and per scale for the
+  two bottleneck transforms applied to every pooled vector.  The code
+  makes that one pass for the regional scales: pooling.regional_pool
+  sums the cells of all of them in a single read of the map.
 
 report() prices the layer plan that build_network instantiates
 (blocks.plan and each block class's layers()), one row per leaf module,

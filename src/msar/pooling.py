@@ -12,11 +12,26 @@ Pooling a coordinate set and broadcasting onto it are adjoints over one
 cell layout: _cell_sums reduces each cell by a direct slice sum (each
 pixel is read once) and _gate_map broadcasts per-cell vectors back.  A
 regional mean is its cell sum divided by the cell size in the input's
-dtype, so a K=1 mean is bitwise a plain global average.  A clipped
-square window is separable, so sliding means are two 1-D window sums
-(_box_sums: a prefix sum and three slice ops per axis) over one
-channel-last copy of the map, centred on its own mean so that float32
-running sums keep their precision.  The window is its own adjoint, so
+dtype, so a K=1 mean is bitwise a plain global average.
+
+A recalibration site pools all its regional scales with one
+regional_pool, which reads the map once: the coarse cells of every
+scale are unions of the cells of the scales' common refinement, so the
+map is summed over those (_refined_sums: row bands, then column bands)
+and each scale's cell sums are taken from that small array by a product
+with the scale's 0/1 membership of refinement cells.
+Backward gathers every scale's gradient onto the refinement cells and
+expands the total into the map's gradient once (_expand).  When the
+refinement is one cell (a lone K=1 scale) the sum is the direct global
+one, so that case stays bitwise.  The per-scale coordinate_avg_pool is
+the oracle these are checked against.  _expand writes its maps
+channel-major, (D, N, H, W) in memory, like the conv2d and batch_norm
+outputs they are multiplied with or added to.
+
+A clipped square window is separable, so sliding means are two 1-D
+window sums (_box_sums: a prefix sum and three slice ops per axis) over
+one channel-last copy of the map, centred on its own mean so that
+float32 running sums keep their precision.  The window is its own adjoint, so
 the backward pass runs the same window sums over og / window size,
 centred the same way.
 
@@ -28,12 +43,14 @@ exact arithmetic but runs the window sums over r channels instead of D.
 gate() multiplies a feature map by the mean over scales of per-scale
 gate vectors broadcast over their coordinate sets.  It is one taped op
 whose closure keeps only the input and the small (N, M, D) vectors:
-the full-size mean map is rebuilt in backward instead of being kept.
+the full-size mean map is rebuilt in backward instead of being kept,
+and the vectors' gradients take one _scale_sums pass over og * x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -268,6 +285,42 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     return _emit("coordinate_avg_pool", out, bwd)
 
 
+def _refinement(specs):
+    """Row and column edges of the common refinement of specs' cell grids."""
+    grids = [_grid(spec) for spec in specs]
+    return (sorted(set().union(*(he for he, _ in grids))),
+            sorted(set().union(*(we for _, we in grids))))
+
+
+def _cell_index(spec: CoordinateSetSpec, rows, cols) -> np.ndarray:
+    """(J_h, J_w) index of the spec cell that holds each refinement cell."""
+    he, we = _grid(spec)
+    i = np.searchsorted(he, rows[:-1], side="right") - 1
+    j = np.searchsorted(we, cols[:-1], side="right") - 1
+    return i[:, None] * (len(we) - 1) + j[None, :]
+
+
+def _cell_sizes(spec: CoordinateSetSpec, dtype) -> np.ndarray:
+    """(M, 1) pixel counts of spec's cells, in dtype."""
+    he, we = _grid(spec)
+    return np.outer(np.diff(he), np.diff(we)).reshape(-1, 1).astype(dtype)
+
+
+def _expand(cells: np.ndarray, rows, cols) -> np.ndarray:
+    """(N, J_h, J_w, D) refinement-cell values -> (N, D, H, W), each over its cell.
+
+    The map is written channel-major, (D, N, H, W) in memory, like the
+    conv2d and batch_norm outputs it is multiplied with or added to.
+    """
+    out = cells.transpose(3, 0, 1, 2)
+    heights, widths = np.diff(rows), np.diff(cols)
+    if (widths > 1).any():
+        out = np.repeat(out, widths, axis=3)
+    if (heights > 1).any():
+        out = np.repeat(out, heights, axis=2)
+    return np.ascontiguousarray(out).transpose(1, 0, 2, 3)
+
+
 def _gate_map(vs, specs) -> np.ndarray:
     """(N, D, H, W) mean over scales of (N, M_s, D) vectors broadcast over their cells.
 
@@ -276,31 +329,121 @@ def _gate_map(vs, specs) -> np.ndarray:
     the same arithmetic as a sum of full broadcast maps; only the result
     is expanded to the lattice.
     """
-    grids = [_grid(spec) for spec in specs]
-    rows = sorted(set().union(*(he for he, _ in grids)))
-    cols = sorted(set().union(*(we for _, we in grids)))
+    rows, cols = _refinement(specs)
     total = None
-    for v, (he, we) in zip(vs, grids):
-        i = np.searchsorted(he, rows[:-1], side="right") - 1
-        j = np.searchsorted(we, cols[:-1], side="right") - 1
-        part = v[:, i[:, None] * (len(we) - 1) + j[None, :], :]   # (N, J_h, J_w, D)
+    for v, spec in zip(vs, specs):
+        part = v[:, _cell_index(spec, rows, cols), :]   # (N, J_h, J_w, D)
         total = part if total is None else total + part
     if len(vs) > 1:
         total = total * (1.0 / len(vs))
-    total = total.transpose(0, 3, 1, 2)
-    heights, widths = np.diff(rows), np.diff(cols)
-    if (heights > 1).any():
-        total = np.repeat(total, heights, axis=2)
-    if (widths > 1).any():
-        total = np.repeat(total, widths, axis=3)
-    return np.ascontiguousarray(total)
+    return _expand(total, rows, cols)
+
+
+def _band_sums(a: np.ndarray, edges, axis: int) -> np.ndarray:
+    """Sums of a over the bands [edges[j], edges[j+1]) of one axis.
+
+    Each run of consecutive bands of one width is summed by one einsum
+    over a view that splits the run into (bands, width), so each element
+    of a is read once; the grids of a (1, 2, 4) site on 32, 16 or 8
+    pixels are one run.
+    """
+    letters = "abcdef"[:a.ndim + 1]
+    subscripts = f"{letters}->{letters[:axis + 1]}{letters[axis + 2:]}"
+    parts, j = [], 0
+    for width, run in groupby(np.diff(edges)):
+        count = len(list(run))
+        view = a[(slice(None),) * axis + (slice(edges[j], edges[j + count]),)]
+        view = view.reshape(a.shape[:axis] + (count, width) + a.shape[axis + 1:])
+        parts.append(np.einsum(subscripts, view))
+        j += count
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _refined_sums(g: np.ndarray, rows, cols) -> np.ndarray:
+    """(N, D, H, W) -> (N, J, D) sums of g over the J refinement cells.
+
+    One pass over g: the row bands first, then the column bands of that
+    (_band_sums).  A refinement of one cell is g.sum(axis=(2, 3)), as
+    _cell_sums takes it.
+    """
+    n, d = g.shape[:2]
+    if len(rows) == 2 and len(cols) == 2:
+        return g.sum(axis=(2, 3))[:, None, :]
+    return np.moveaxis(_band_sums(_band_sums(g, rows, 2), cols, 3), 1, 3).reshape(n, -1, d)
+
+
+def _scale_sums(g: np.ndarray, specs) -> list:
+    """Each spec's (N, M, D) cell sums of g (N, D, H, W), new arrays.
+
+    The regional specs share one _refined_sums pass over g, and each
+    spec's cells, unions of the refinement cells, are summed from it by
+    one product with the spec's (M, J) 0/1 membership; the product with
+    a lone cell's [[1]] is exact.  Through the 0 weights a non-finite sum makes
+    every cell of its image and channel NaN.  A sliding spec's cells are
+    pixels, so its sums are g itself.
+    """
+    regional = [spec for spec in specs if spec.strategy == "regional"]
+    if regional:
+        rows, cols = _refinement(regional)
+        fine = _refined_sums(g, rows, cols)
+    out = []
+    for spec in specs:
+        if spec.strategy == "sliding":
+            out.append(_cell_sums(g, spec))
+            continue
+        cells = _cell_index(spec, rows, cols).reshape(-1)
+        member = np.arange(spec.vector_count)[:, None] == cells     # (M, J)
+        out.append(member.astype(g.dtype) @ fine)
+    return out
+
+
+def regional_pool(x: Tensor, specs) -> list:
+    """(N, D, H, W) -> each regional spec's (N, K*K, D) cell means, reading x once.
+
+    x is summed once over the cells of the specs' common refinement,
+    and each spec's cell sums are taken from those (_scale_sums).
+    Backward gathers each scale's og / cell size
+    onto the refinement cells, sums that over the scales, and expands
+    the sum into x's gradient once.  Each output is a
+    coordinate_avg_pool entry on the tape, preceded by one entry for the
+    refinement cells, which collects their gradient and does the
+    expansion.  No closure reads the refinement sums, so that entry
+    holds a zero-stride stand-in of their shape, and the tape keeps only
+    the means, as a separate pool per scale would.
+    """
+    n, d, height, width = x.shape
+    if not specs:
+        raise ValueError("regional_pool: no specs")
+    for spec in specs:
+        if spec.strategy != "regional" or (spec.height, spec.width) != (height, width):
+            raise ValueError(f"regional_pool: {height}x{width} map does not match "
+                             f"regional spec {spec}")
+    rows, cols = _refinement(specs)
+    cells = Tensor(np.broadcast_to(np.zeros((), x.dtype),
+                                   (n, len(rows) - 1, len(cols) - 1, d)))
+
+    def expand(og):
+        _accumulate(x, _expand(og, rows, cols))
+
+    _emit("coordinate_avg_pool", cells, expand)
+    outs = []
+    for spec, sums in zip(specs, _scale_sums(x.data, specs)):
+        sizes, index = _cell_sizes(spec, x.dtype), _cell_index(spec, rows, cols)
+
+        def gather(og, sizes=sizes, index=index):
+            _accumulate(cells, (og / sizes)[:, index])
+
+        outs.append(_emit("coordinate_avg_pool", Tensor(sums / sizes), gather))
+    return outs
 
 
 def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
     """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D).
 
     The result is a new array, never a view of g, so that it can become a
-    gradient slot of its own.
+    gradient slot of its own.  A regional cell is summed by one slice sum
+    of its own; the pooling oracle and broadcast_weights use this, the
+    sites _scale_sums.
     """
     n, d = g.shape[:2]
     if spec.strategy == "sliding":
@@ -312,8 +455,7 @@ def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
 
 def _cell_means(x: np.ndarray, spec: CoordinateSetSpec):
     """(N, D, H, W) -> (N, K*K, D) cell means, and the cell sizes in x's dtype."""
-    he, we = _grid(spec)
-    sizes = np.outer(np.diff(he), np.diff(we)).reshape(-1, 1).astype(x.dtype)
+    sizes = _cell_sizes(spec, x.dtype)
     return _cell_sums(x, spec) / sizes, sizes
 
 
@@ -336,19 +478,22 @@ def gate(x: Tensor, vs, specs) -> Tensor:
     vs[s] holds the (N, M_s, D) gate vectors of scale s.  The closure
     keeps x, the vectors and the specs.  Backward gives each vs[s] the
     cell sums of og * x / S over its own cells (for sliding, og * x / S
-    itself), then rebuilds the mean map and gives x og * mean, formed in
-    og's buffer, so that og * x is gone before x's gradient is made.
+    itself; the regional scales share one pass, _scale_sums), then
+    rebuilds the mean map and gives x og * mean, formed in og's buffer,
+    so that og * x is gone before x's gradient is made.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
-    out = Tensor(x.data * _gate_map([v.data for v in vs], specs))
+    mean = _gate_map([v.data for v in vs], specs)
+    mean *= x.data
+    out = Tensor(mean)
 
     def bwd(og):
         g = og * x.data
         if len(vs) > 1:
             g *= 1.0 / len(vs)
-        for v, spec in zip(vs, specs):
-            _accumulate(v, _cell_sums(g, spec))
+        for v, sums in zip(vs, _scale_sums(g, specs)):
+            _accumulate(v, sums)
         del g
         og *= _gate_map([v.data for v in vs], specs)
         _accumulate(x, og)

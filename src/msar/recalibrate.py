@@ -11,6 +11,11 @@ per-scale map being kept for backward.  A single regional scale with
 one cell collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 
+A site's regional scales pool together: one pooling.regional_pool
+reads the pool source once and returns every regional scale's cell
+means, and its backward writes the source's gradient once, however
+many scales there are.
+
 A sliding scale has a pooled vector per position, and both the window
 mean and the bottleneck's first (bias-free) map are linear, so it
 projects first and pools after (pooling.project_pool): the windows then
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights,
-                      coordinate_avg_pool, gate, project_pool)
+from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights, gate,
+                      project_pool, regional_pool)
 from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
                      relu, reshape, sigmoid)
 
@@ -112,20 +117,28 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def forward(self, pool_src: Tensor, training: bool) -> Tensor:
-        """Gate vectors of this scale: (N, d_in, H, W) -> (N, M, d_out) in (0, 1).
+        """Gate vectors of this scale alone: (N, d_in, H, W) -> (N, M, d_out) in (0, 1).
 
         Row m holds the gate of coordinate set m (M = spec.vector_count);
         broadcast_weights(v, self.spec) paints them onto the lattice.
         """
-        p = self.params
         if self.spec.strategy == "sliding":
-            z = project_pool(pool_src, p.w1, self.spec)
-            n, m, r = z.shape
-            z = reshape(z, (n * m, r))
-        else:
-            y = coordinate_avg_pool(pool_src, self.spec)
-            n, m, d = y.shape
-            z = linear(reshape(y, (n * m, d)), p.w1)
+            return self.vectors(project_pool(pool_src, self.params.w1, self.spec), training)
+        means, = regional_pool(pool_src, [self.spec])
+        return self.vectors(means, training)
+
+    def vectors(self, pooled: Tensor, training: bool) -> Tensor:
+        """Gate vectors (N, M, d_out) from pooled (N, M, .) rows.
+
+        A regional scale's rows are its d_in-wide cell means, which the
+        bottleneck's first map reduces; a sliding scale's are already
+        reduced (project_pool).
+        """
+        p = self.params
+        n, m, width = pooled.shape
+        z = reshape(pooled, (n * m, width))
+        if self.spec.strategy == "regional":
+            z = linear(z, p.w1)
         v = _excite(z, p, training)
         return reshape(v, (n, m, v.shape[1]))
 
@@ -162,11 +175,18 @@ class MultiScaleRecalibration:
                 pool_src: Tensor | None = None) -> Tensor:
         """Multiply x by the mean of the per-scale gates.
 
-        pool_src defaults to x itself.  Every scale's gate vectors are
-        computed first, then one gate op combines them and multiplies.
+        pool_src defaults to x itself.  One regional_pool takes every
+        regional scale's cell means from a single pass over it; each
+        sliding scale projects and pools it (project_pool).  Every
+        scale's gate vectors are computed first, then one gate op
+        combines them and multiplies.
         """
         src = x if pool_src is None else pool_src
-        return gate(x, [s.forward(src, training) for s in self.scales],
+        cells = [s.spec for s in self.scales if s.spec.strategy == "regional"]
+        means = iter(regional_pool(src, cells) if cells else ())
+        pooled = [next(means) if s.spec.strategy == "regional"
+                  else project_pool(src, s.params.w1, s.spec) for s in self.scales]
+        return gate(x, [s.vectors(p, training) for s, p in zip(self.scales, pooled)],
                     [s.spec for s in self.scales])
 
     def parameters(self):

@@ -458,14 +458,20 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(N, D, H, W) -> (N, D) spatial mean."""
+    """(N, D, H, W) -> (N, D) spatial mean.
+
+    Backward writes og / (H*W) over each map once, into a fresh
+    channel-major array that becomes x's gradient slot.
+    """
     if x.ndim != 4:
         raise ValueError(f"global_avg_pool: need 4-D input, got {x.shape}")
     n, d, h, w = x.shape
     out = Tensor(x.data.mean(axis=(2, 3)))
 
     def bwd(og):
-        _accumulate(x, og[:, :, None, None] / (h * w))
+        g = np.empty((d, n, h, w), dtype=og.dtype)
+        g[...] = (og.T / (h * w))[:, :, None, None]
+        _accumulate(x, g.transpose(1, 0, 2, 3))
 
     return _emit("global_avg_pool", out, bwd)
 

@@ -44,6 +44,18 @@ def test_failed_and_attempted_are_summed_per_side():
     assert out["metrics"]["peak_rss_mb"]["pairs"] == 1
 
 
+def test_failures_name_their_side_and_seed():
+    ok = dict(result(1, 1), seed=7, failures=[])
+    bad = dict(result(1, 1, failed=1), seed=8, failures=["final train_err 0.06 above 0.05"])
+    crashed = {"failed": 1, "attempted": 1, "metrics": {}, "seed": 9,
+               "failures": ["worker 1 exited with code 1"]}
+    out = bench_pairs.summarize([(ok, bad), (crashed, ok)], SPECS)
+    assert out["failures"] == [
+        {"side": "parent", "seed": 9, "what": "worker 1 exited with code 1"},
+        {"side": "change", "seed": 8, "what": "final train_err 0.06 above 0.05"}]
+    assert bench_pairs.summarize([(result(1, 1), result(1, 1))], SPECS)["failures"] == []
+
+
 def test_single_pair_spread_is_the_value():
     out = bench_pairs.summarize([(result(5, 2), result(4, 3))], SPECS)
     assert out["metrics"]["peak_rss_mb"]["change"] == {"median": 4, "q1": 4, "q3": 4}

@@ -1,13 +1,17 @@
 """Integral-image and coordinate-set pooling against brute-force oracles."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
                           coordinate_avg_pool, coordinate_set, gate, project_pool,
-                          rect_sum, region_avg_pool)
-from msar.tensor import Tape, Tensor, backward, linear, mul, reshape, sum_all
+                          rect_sum, region_avg_pool, regional_pool)
+from msar.tensor import Tape, Tensor, add, backward, linear, mul, reshape, sum_all
 
 
 def prefix_table(x):
@@ -193,6 +197,66 @@ def test_regional_pool_bitwise_matches_slice_oracle(dtype, height, width, scales
         assert x.grad.tobytes() == want_grad.tobytes(), k
         single = region_avg_pool(Tensor(x.data[1]), spec)
         assert single.dtype == dtype and single.tobytes() == want_y[1].tobytes(), k
+
+
+def pooled_with_grad(pool, x, ogs):
+    """pool's (N, M_s, D) outputs for x, and x.grad when output s gets og s."""
+    x = Tensor(x)
+    with Tape() as tape:
+        ys = pool(x)
+        loss = reduce(add, [sum_all(mul(y, Tensor(og))) for y, og in zip(ys, ogs)])
+    backward(tape, loss)
+    return [y.data for y in ys] + [x.grad]
+
+
+@st.composite
+def regional_sites(draw):
+    """(height, width, scales): a lattice of 1-12 per side and 1-3 distinct scales."""
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    scales = draw(st.lists(st.integers(1, min(height, width)), min_size=1, max_size=3,
+                           unique=True))
+    return height, width, tuple(scales)
+
+
+FLOAT32_SITE_BOUND = 1e-6
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(site=regional_sites(), channel_major=st.booleans())
+@example(site=(8, 8, (1, 2, 4)), channel_major=True)       # nested grids
+@example(site=(5, 7, (2, 3)), channel_major=False)         # edges that do not nest
+@example(site=(9, 11, (1, 3, 5)), channel_major=True)
+@example(site=(3, 12, (1, 2, 3)), channel_major=False)     # one-pixel rows
+@example(site=(1, 1, (1,)), channel_major=False)           # a one-pixel lattice
+def test_regional_pool_matches_per_scale_oracle(site, channel_major):
+    # every scale's means and x.grad against one coordinate_avg_pool per scale;
+    # a lone K=1 scale is a direct sum either way, so bitwise
+    height, width, scales = site
+    specs = [CoordinateSetSpec("regional", k, width, height) for k in scales]
+    rng = np.random.default_rng(height * 100 + width)
+    x = rng.standard_normal((3, 4, height, width)) + 2.0
+    if channel_major:
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    ogs = [rng.standard_normal((3, s.vector_count, 4)) for s in specs]
+    for dtype, bound in ((np.float64, 1e-12), (np.float32, FLOAT32_SITE_BOUND)):
+        xd, ogd = x.astype(dtype), [og.astype(dtype) for og in ogs]
+        got = pooled_with_grad(lambda t: regional_pool(t, specs), xd, ogd)
+        want = pooled_with_grad(lambda t: [coordinate_avg_pool(t, s) for s in specs], xd, ogd)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.shape == b.shape
+            if scales == (1,):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert np.abs(a - b).max() <= bound * np.abs(b).max()
+
+
+def test_regional_pool_rejects_sliding_and_mismatched_specs():
+    x = Tensor(np.zeros((1, 3, 6, 6)))
+    with pytest.raises(ValueError):
+        regional_pool(x, [CoordinateSetSpec("sliding", 2, 6, 6)])
+    with pytest.raises(ValueError):
+        regional_pool(x, [CoordinateSetSpec("regional", 2, 6, 6),
+                          CoordinateSetSpec("regional", 2, 7, 6)])
 
 
 def test_region_avg_pool_records_nothing():

@@ -70,9 +70,17 @@ def fresh_scale(spec, d, reduced, seed):
     return ScaleRecalibration("s", spec, d, d, reduced, np.random.default_rng(seed))
 
 
+def per_scale_vectors(s, src, training):
+    """One scale's gate vectors from a pool of its own: a regional scale runs
+    coordinate_avg_pool, the per-scale path that regional_pool replaces."""
+    if s.spec.strategy == "sliding":
+        return s.forward(src, training)
+    return s.vectors(coordinate_avg_pool(src, s.spec), training)
+
+
 def scale_map(s, src, training):
     """One scale's gate vectors painted onto the lattice."""
-    return broadcast_weights(s.forward(src, training), s.spec)
+    return broadcast_weights(per_scale_vectors(s, src, training), s.spec)
 
 
 def composed_site(module, x, training, pool_src=None):
@@ -265,32 +273,48 @@ def composed(module, x, training, src):
     return composed_site(module, x, training, pool_src=src)
 
 
+def assert_site_matches(got, want, geometry):
+    """Bitwise for a single regional scale and for sliding sites; a multi-scale
+    regional site sums its cells from one refinement pass, so within 1e-12."""
+    scales, strategy = geometry[:2]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if strategy == "regional" and len(scales) > 1:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: f"{g[1]}{g[0]}-{g[2]}x{g[3]}")
 def test_gate_bitwise_matches_composed_site(geometry, training):
-    got = run_site(fused, geometry, training)
-    want = run_site(composed, geometry, training)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert_site_matches(run_site(fused, geometry, training),
+                        run_site(composed, geometry, training), geometry)
 
 
 @pytest.mark.parametrize("training", [True, False])
 def test_gate_bitwise_with_separate_pool_source(training):
     # dense-step style: pool the wider accumulated input, gate the new features
-    for geometry in GEOMETRIES[:2]:
+    for geometry in GEOMETRIES[:2] + GEOMETRIES[3:]:
         got = run_site(fused, geometry, training, d_in=6, d_out=3, separate=True)
         want = run_site(composed, geometry, training, d_in=6, d_out=3, separate=True)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        assert_site_matches(got, want, geometry)
 
 
-def tape_bytes(module, x):
+def per_scale_site(module, x, training, src):
+    """A site whose every scale pools on its own (per_scale_vectors), then one gate op."""
+    src = x if src is None else src
+    return gate(x, [per_scale_vectors(s, src, training) for s in module.scales],
+                [s.spec for s in module.scales])
+
+
+def tape_bytes(module, x, forward=fused):
     """Bytes still allocated after one training-mode forward of a site."""
     tracemalloc.start()
     try:
         with Tape() as tape:
-            module.forward(x, training=True)
+            forward(module, x, True, None)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -305,6 +329,16 @@ def test_site_tape_holds_no_full_size_gate_maps():
         32, 32, reduced=4, rng=np.random.default_rng(19))
     x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
     assert tape_bytes(module, x) <= 1.5 * x.data.nbytes
+
+
+def test_regional_site_tape_no_larger_than_per_scale_pools():
+    # one pass keeps no (N, J, D) refinement sums (64 KiB here, J = 16 cells):
+    # the tape holds the same means as a pool per scale, plus bookkeeping
+    module = MultiScaleRecalibration(
+        "m", MultiScaleConfig(scales=(1, 2, 4), strategy="regional"), 16, 16,
+        32, 32, reduced=4, rng=np.random.default_rng(19))
+    x = Tensor(np.random.default_rng(20).standard_normal((32, 16, 32, 32)))
+    assert tape_bytes(module, x) <= tape_bytes(module, x, per_scale_site) + 4096
 
 
 def test_sliding_site_tape_holds_reduced_width_pools():
