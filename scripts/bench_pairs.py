@@ -11,6 +11,7 @@ one run at a time, the parent first in even pairs and the change first
 in odd ones; T is BENCHMARK.json's run_seconds.  BENCH_<label>.json
 then holds, per workload and end-to-end metric, both sides' medians and
 quartiles, the pairs the change won and lost (ties count for neither),
+a verdict against the metric's bound (see verdict),
 failed and attempted checks with each failure's side, seed and message,
 and the machine line of the runs.
 """
@@ -60,6 +61,23 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent, change, higher, bound):
+    """One metric's verdict on its runs, against its bound: worse, unresolved or ok.
+
+    Worse: the change's median is worse than the parent's by more than
+    bound x the parent's median.  Unresolved: either side's quartile gap
+    exceeds bound x its own median, unless every change run beats every
+    parent run.
+    """
+    p, c = spread(parent), spread(change)
+    lag = p["median"] - c["median"] if higher else c["median"] - p["median"]
+    if lag > bound * p["median"]:
+        return "worse"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    wide = any(s["q3"] - s["q1"] > bound * s["median"] for s in (p, c))
+    return "unresolved" if wide and not beats_all else "ok"
+
+
 def summarize(pairs, metric_specs):
     """pairs: [(parent result, change result)] of one workload."""
     out = {f"{key}_{side}": sum(r[key] for r in results)
@@ -77,10 +95,12 @@ def summarize(pairs, metric_specs):
             continue
         wins = sum((c > p) if higher else (c < p) for p, c in both)
         losses = sum((c < p) if higher else (c > p) for p, c in both)
+        parent, change = zip(*both)
         metrics[name] = {"unit": spec["unit"], "better": spec["better"],
-                         "parent": spread([p for p, _ in both]),
-                         "change": spread([c for _, c in both]),
+                         "parent": spread(parent), "change": spread(change),
                          "pairs": len(both), "wins": wins, "losses": losses}
+        if "bound" in spec:
+            metrics[name]["verdict"] = verdict(parent, change, higher, spec["bound"])
     out["metrics"] = metrics
     return out
 

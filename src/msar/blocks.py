@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IMAGE_SHAPE
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, batch_norm, concat_channels,
                      conv2d, global_avg_pool, avg_pool2d, linear, max_pool2d,
@@ -35,29 +36,27 @@ from .tensor import (BNState, Tensor, add, batch_norm, concat_channels,
 
 FAMILIES = ("plain", "residual", "dense", "grouped")
 STAGE_MODES = ("multi", "single")
+# DenseNet-BC (Huang et al. 2017): 1x1 bottlenecks four growths wide, transitions keep half
+BOTTLENECK_FACTOR = 4
+COMPRESSION = 0.5
 
 
 @dataclass(frozen=True)
-class MsarSettings:
-    """Recalibration settings applied at every block or step.
+class MsarSettings(MultiScaleConfig):
+    """Recalibration settings applied at every block or step: each site's
+    scales and strategy, plus where dense steps pool from.
 
     stage_mode selects the pooled context in dense steps: "multi" pools
     the accumulated input map, "single" pools the freshly produced
     features.  Residual blocks always pool the tensor they gate.
     """
 
-    scales: tuple[int, ...] = (1, 2, 4)
-    strategy: str = "regional"
     stage_mode: str = "multi"
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(int(k) for k in self.scales))
-        MultiScaleConfig(self.scales, self.strategy)  # reuse its validation
+        super().__post_init__()
         if self.stage_mode not in STAGE_MODES:
             raise ValueError(f"stage_mode must be one of {STAGE_MODES}, got {self.stage_mode!r}")
-
-    def config(self) -> MultiScaleConfig:
-        return MultiScaleConfig(self.scales, self.strategy)
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,7 @@ class NetworkSpec:
     stem_stride: int = 1
     stem_pool: bool = False
     growth: int = 0                 # dense family
-    bottleneck_factor: int = 4      # dense family
-    compression: float = 0.5        # dense family transition keep-fraction
     groups: int = 1                 # grouped residual family
-    input_channels: int = 3
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -213,7 +209,7 @@ def _leaf(layer: Layer, msar: MsarSettings | None, rng, dtype):
         return BatchNorm(layer.name, layer.c_out, dtype)
     if layer.op == "linear":
         return Linear(layer.name, layer.c_in, layer.c_out, rng, dtype)
-    return MultiScaleRecalibration(layer.name, msar.config(), layer.c_in, layer.c_out,
+    return MultiScaleRecalibration(layer.name, msar, layer.c_in, layer.c_out,
                                    layer.size, layer.size, layer.reduced, rng, dtype)
 
 
@@ -337,8 +333,8 @@ class DenseStep(Block):
     """
 
     @staticmethod
-    def layers(name, c_in, growth, bottleneck_factor, size, msar):
-        inner = bottleneck_factor * growth
+    def layers(name, c_in, growth, size, msar):
+        inner = BOTTLENECK_FACTOR * growth
         layers = [_norm(f"{name}.norm1", c_in, size),
                   Layer(f"{name}.conv1", "conv", c_in, inner, size),
                   _norm(f"{name}.norm2", inner, size),
@@ -408,7 +404,7 @@ def plan(spec: NetworkSpec):
     stride = 1 if dense else spec.stem_stride
     pool = spec.stem_pool and not dense
     size = spec.input_size // stride
-    yield Stem, "stem", (spec.input_channels, spec.stem_width, spec.stem_kernel,
+    yield Stem, "stem", (IMAGE_SHAPE[0], spec.stem_width, spec.stem_kernel,
                          stride, size, not dense, pool)
     if pool:
         size = (size + 2 - 3) // 2 + 1
@@ -416,8 +412,7 @@ def plan(spec: NetworkSpec):
     for i, stage in enumerate(spec.stages):
         for j in range(stage.blocks):
             if dense:
-                yield DenseStep, f"stage{i}.step{j}", (width, spec.growth,
-                                                       spec.bottleneck_factor, size)
+                yield DenseStep, f"stage{i}.step{j}", (width, spec.growth, size)
                 width += spec.growth
                 continue
             stride = stage.stride if j == 0 else 1
@@ -430,7 +425,7 @@ def plan(spec: NetworkSpec):
                 yield cls, f"stage{i}.block{j}", geometry
             width = stage.width
         if dense and i < len(spec.stages) - 1:
-            out = int(width * spec.compression)
+            out = int(width * COMPRESSION)
             yield Transition, f"transition{i}", (width, out, size)
             width, size = out, size // 2
     yield Head, "head", (width, spec.classes, size, dense)

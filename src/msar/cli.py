@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .blocks import build_network
-from .config import (ExperimentConfig, parse_config, to_network_spec,
+from .config import (PRECISIONS, ExperimentConfig, parse_config, to_network_spec,
                      train_settings)
 from .costs import report
 from .data import channel_stats, load_records, normalize
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None, metavar="DIR",
                            help="override run.out")
-        p.add_argument("--precision", type=int, choices=(32, 64), default=None,
+        p.add_argument("--precision", type=int, choices=PRECISIONS, default=None,
                        help="override run.precision")
 
     p = sub.add_parser("train", help="train a network and write curve + weights")

@@ -4,16 +4,20 @@ Blank lines and `#` comments are allowed.  Every key has a default
 except the data paths, unknown keys are rejected, and every diagnostic
 carries the offending line number.  parse -> serialize -> parse is the
 identity, so configs can be normalized and stored canonically.
+
+Each key is declared once, as an ExperimentConfig field that carries its
+default, parser, renderer and check; SCHEMA, the key table the parser
+and serializer walk, is derived from those fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .blocks import (FAMILIES, STAGE_MODES, MsarSettings, NetworkSpec,
                      StageSpec, densenet_cifar, resnet_cifar, resnet_ilsvrc,
                      resnext50_ilsvrc)
-from .data import _distinct_classes
+from .data import FORMATS, _distinct_classes
 from .pooling import STRATEGIES
 from .recalibrate import MultiScaleConfig
 from .training import TrainSettings
@@ -21,6 +25,7 @@ from .training import TrainSettings
 PRESETS = ("resnet20", "resnet32", "resnet44", "resnet56", "resnet110",
            "densenet100", "resnet18-ilsvrc", "resnet34-ilsvrc",
            "resnext50-ilsvrc")
+PRECISIONS = (32, 64)
 
 
 def _parse_bool(v):
@@ -89,72 +94,54 @@ def _valid_stages(v):
         StageSpec(w, b, s)
 
 
-# key -> (parser, renderer, validator or None); defaults live in ExperimentConfig
-SCHEMA = {
-    "network.preset": (str, str, _one_of(("",) + PRESETS)),
-    "network.kind": (str, str, _one_of(FAMILIES)),
-    "network.depth": (int, str, _non_negative),
-    "network.stages": (_parse_stages, _render_stages, _valid_stages),
-    "network.stem_width": (int, str, _non_negative),
-    "network.growth": (int, str, _positive),
-    "network.classes": (int, str, _at_least_two),
-    "network.input_size": (int, str, _positive),
-    "msar.enabled": (_parse_bool, _render_bool, None),
-    "msar.strategy": (str, str, _one_of(STRATEGIES)),
-    "msar.scales": (_parse_ints, _render_ints, MultiScaleConfig),
-    "msar.stage_mode": (str, str, _one_of(STAGE_MODES)),
-    "optimizer.lr": (float, repr, _positive),
-    "optimizer.momentum": (float, repr, _non_negative),
-    "optimizer.weight_decay": (float, repr, _non_negative),
-    "optimizer.drops": (_parse_ints, _render_ints, None),
-    "data.format": (str, str, _one_of(("cifar10", "cifar100"))),
-    "data.train_path": (str, str, None),
-    "data.test_path": (str, str, None),
-    "data.classes": (_parse_ints, _render_ints, _distinct_classes),
-    "data.limit": (int, str, _non_negative),
-    "run.seed": (int, str, _non_negative),
-    "run.epochs": (int, str, _positive),
-    "run.batch_size": (int, str, _positive),
-    "run.out": (str, str, None),
-    "run.precision": (int, str, _one_of((32, 64))),
-    "run.log_timing": (_parse_bool, _render_bool, None),
-}
-
-
-def _attr(key: str) -> str:
-    return key.replace(".", "_")
+def _key(default, parse=str, render=str, check=None):
+    """An ExperimentConfig field for one key: default, parser, renderer, check."""
+    return field(default=default,
+                 metadata={"parse": parse, "render": render, "check": check})
 
 
 @dataclass
 class ExperimentConfig:
-    """Typed view of the flat config; attribute names replace '.' with '_'."""
-    network_preset: str = ""
-    network_kind: str = "residual"
-    network_depth: int = 0
-    network_stages: tuple = ()
-    network_stem_width: int = 0
-    network_growth: int = 12
-    network_classes: int = 10
-    network_input_size: int = 32
-    msar_enabled: bool = False
-    msar_strategy: str = "regional"
-    msar_scales: tuple = (1, 2, 4)
-    msar_stage_mode: str = "multi"
-    optimizer_lr: float = 0.1
-    optimizer_momentum: float = 0.9
-    optimizer_weight_decay: float = 1e-4
-    optimizer_drops: tuple = (80, 120)
-    data_format: str = "cifar10"
-    data_train_path: str = ""
-    data_test_path: str = ""
-    data_classes: tuple = ()
-    data_limit: int = 0
-    run_seed: int = 1
-    run_epochs: int = 30
-    run_batch_size: int = 128
-    run_out: str = "runs"
-    run_precision: int = 64
-    run_log_timing: bool = True
+    """Typed view of the flat config, one field per key.
+
+    A field's name is its key with the first '.' as '_' (network.stem_width
+    is network_stem_width).  The field holds the key's default, parser,
+    renderer and check; defaults that are library settings are read from
+    TrainSettings and MsarSettings.  Keys serialize in field order.
+    """
+    network_preset: str = _key("", check=_one_of(("",) + PRESETS))
+    network_kind: str = _key("residual", check=_one_of(FAMILIES))
+    network_depth: int = _key(0, int, check=_non_negative)
+    network_stages: tuple = _key((), _parse_stages, _render_stages, _valid_stages)
+    network_stem_width: int = _key(0, int, check=_non_negative)
+    network_growth: int = _key(12, int, check=_positive)
+    network_classes: int = _key(10, int, check=_at_least_two)
+    network_input_size: int = _key(32, int, check=_positive)
+    msar_enabled: bool = _key(False, _parse_bool, _render_bool)
+    msar_strategy: str = _key(MsarSettings.strategy, check=_one_of(STRATEGIES))
+    msar_scales: tuple = _key(MsarSettings.scales, _parse_ints, _render_ints,
+                              MultiScaleConfig)
+    msar_stage_mode: str = _key(MsarSettings.stage_mode, check=_one_of(STAGE_MODES))
+    optimizer_lr: float = _key(TrainSettings.lr, float, repr, _positive)
+    optimizer_momentum: float = _key(TrainSettings.momentum, float, repr, _non_negative)
+    optimizer_weight_decay: float = _key(TrainSettings.weight_decay, float, repr,
+                                         _non_negative)
+    optimizer_drops: tuple = _key(TrainSettings.drops, _parse_ints, _render_ints)
+    data_format: str = _key("cifar10", check=_one_of(tuple(FORMATS)))
+    data_train_path: str = _key("")
+    data_test_path: str = _key("")
+    data_classes: tuple = _key((), _parse_ints, _render_ints, _distinct_classes)
+    data_limit: int = _key(0, int, check=_non_negative)
+    run_seed: int = _key(TrainSettings.seed, int, check=_non_negative)
+    run_epochs: int = _key(TrainSettings.epochs, int, check=_positive)
+    run_batch_size: int = _key(TrainSettings.batch_size, int, check=_positive)
+    run_out: str = _key("runs")
+    run_precision: int = _key(64, int, check=_one_of(PRECISIONS))
+    run_log_timing: bool = _key(TrainSettings.log_timing, _parse_bool, _render_bool)
+
+
+# "section.key" -> its ExperimentConfig field, in serialization order
+SCHEMA = {f.name.replace("_", ".", 1): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -173,14 +160,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        parser, _, validator = SCHEMA[key]
+        f = SCHEMA[key]
         try:
-            parsed = parser(value)
-            if validator is not None:
-                validator(parsed)
+            parsed = f.metadata["parse"](value)
+            if f.metadata["check"] is not None:
+                f.metadata["check"](parsed)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
-        setattr(cfg, _attr(key), parsed)
+        setattr(cfg, f.name, parsed)
     return cfg
 
 
@@ -188,13 +175,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form covering every key in schema order."""
     lines = []
     section = None
-    for key, (_, renderer, _) in SCHEMA.items():
+    for key, f in SCHEMA.items():
         this_section = key.split(".", 1)[0]
         if this_section != section:
             if section is not None:
                 lines.append("")
             section = this_section
-        lines.append(f"{key} = {renderer(getattr(cfg, _attr(key)))}".rstrip())
+        lines.append(f"{key} = {f.metadata['render'](getattr(cfg, f.name))}".rstrip())
     return "\n".join(lines) + "\n"
 
 

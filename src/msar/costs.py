@@ -143,7 +143,7 @@ def _row(layer: Layer, msar: MsarSettings | None) -> CostRow:
         return CostRow(layer.name, macs + layer.c_out, macs)
     if layer.op == "recal":
         cost = msar_cost(layer.c_in, layer.c_out, layer.reduced,
-                         msar.config().specs(layer.size, layer.size))
+                         msar.specs(layer.size, layer.size))
         return CostRow(layer.name, cost.params, cost.flops, is_recal=True)
     params, flops = conv_cost(layer.k, layer.c_in, layer.c_out, layer.size, layer.size,
                               layer.groups)

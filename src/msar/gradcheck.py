@@ -21,7 +21,7 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
 
 
-def check_gradients(fn, tensors, rng, samples_per_tensor=24, step=STEP):
+def check_gradients(fn, tensors, rng, samples_per_tensor=24):
     """Max relative error of d(probe . fn(tensors))/d(tensor) over samples.
 
     fn must return a single Tensor and be deterministic; tensors is the
@@ -47,12 +47,12 @@ def check_gradients(fn, tensors, rng, samples_per_tensor=24, step=STEP):
             # index the array itself: reshape(-1) copies a non-C-contiguous one
             at = np.unravel_index(i, t.shape)
             keep = t.data[at]
-            t.data[at] = keep + step
+            t.data[at] = keep + STEP
             hi = float((fn().data * probe.data).sum())
-            t.data[at] = keep - step
+            t.data[at] = keep - STEP
             lo = float((fn().data * probe.data).sum())
             t.data[at] = keep
-            numeric = (hi - lo) / (2.0 * step)
+            numeric = (hi - lo) / (2.0 * STEP)
             err = relative_error(float(grad[at]), numeric)
             worst = max(worst, err)
     return worst

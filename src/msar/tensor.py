@@ -528,11 +528,12 @@ def max_pool2d(x: Tensor, size: int, stride: int, pad: int = 0) -> Tensor:
 class BNState:
     """Running statistics for one normalization layer (not differentiated)."""
 
-    def __init__(self, features, dtype=DEFAULT_DTYPE, momentum=0.1, eps=1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, features, dtype=DEFAULT_DTYPE):
         self.mean = np.zeros(features, dtype=dtype)
         self.var = np.ones(features, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def _channel_rows(a):

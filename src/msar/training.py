@@ -112,7 +112,7 @@ def _batch_bounds(n: int, batch_size: int):
 
 
 def train(network, train_images, train_labels, test_images, test_labels,
-          settings: TrainSettings, clock=time.monotonic):
+          settings: TrainSettings):
     """Run the training loop; returns one curve row per epoch.
 
     Each epoch visits the records in a fresh random order, in batches of
@@ -128,7 +128,7 @@ def train(network, train_images, train_labels, test_images, test_labels,
     rows = []
     for epoch in range(1, settings.epochs + 1):
         lr = lr_at(settings.lr, settings.drops, epoch)
-        start = clock() if settings.log_timing else 0.0
+        start = time.monotonic() if settings.log_timing else 0.0
         perm = rng.permutation(n)
         for lo, hi in _batch_bounds(n, settings.batch_size):
             idx = perm[lo:hi]
@@ -145,7 +145,7 @@ def train(network, train_images, train_labels, test_images, test_labels,
             opt.step(lr)
         train_loss, train_err = evaluate(network, train_images, train_labels)
         test_loss, test_err = evaluate(network, test_images, test_labels)
-        seconds = clock() - start if settings.log_timing else 0.0
+        seconds = time.monotonic() - start if settings.log_timing else 0.0
         rows.append({"epoch": epoch, "train_loss": train_loss, "train_err": train_err,
                      "test_loss": test_loss, "test_err": test_err, "lr": lr,
                      "seconds": seconds})

@@ -65,3 +65,42 @@ def test_metric_missing_everywhere_is_omitted():
     out = bench_pairs.summarize([(result(5, 2), result(4, 3))],
                                 SPECS + [{"name": "setup_s", "unit": "s", "better": "lower"}])
     assert "setup_s" not in out["metrics"]
+
+
+def verdicts(parent, change):
+    """Verdicts of (peak_rss_mb, train_img_per_s) over equal runs of both metrics."""
+    pairs = [(result(p, p), result(c, c)) for p, c in zip(parent, change)]
+    out = bench_pairs.summarize(pairs, SPECS)["metrics"]
+    return out["peak_rss_mb"]["verdict"], out["train_img_per_s"]["verdict"]
+
+
+def test_verdict_worse_beyond_the_bound_of_the_parent_median():
+    # rss (lower better, bound 0.1): 100 -> 111 is worse, 100 -> 109 is not;
+    # throughput (higher better, bound 0.25) reads the same runs the other way
+    assert verdicts([100] * 4, [111] * 4) == ("worse", "ok")
+    assert verdicts([100] * 4, [109] * 4) == ("ok", "ok")
+    assert verdicts([100] * 4, [74] * 4) == ("ok", "worse")
+    assert verdicts([100] * 4, [76] * 4) == ("ok", "ok")
+
+
+def test_verdict_unresolved_when_either_side_spreads_wider_than_its_bound():
+    # parent quartiles 95 and 115 (gap 20 > 0.1 x 105) against a tight change
+    wide = [90, 100, 110, 120]
+    assert verdicts(wide, [105] * 4)[0] == "unresolved"
+    assert verdicts([105] * 4, wide)[0] == "unresolved"
+    # gap 20 stays inside throughput's 0.25 x 105
+    assert verdicts(wide, [105] * 4)[1] == "ok"
+
+
+def test_verdict_ok_when_every_change_run_beats_every_parent_run():
+    wide, lower = [90, 100, 110, 120], [40, 50, 60, 80]
+    assert verdicts(wide, lower)[0] == "ok"           # lower rss is better
+    assert verdicts(wide, [85] + lower[1:])[0] == "ok"
+    assert verdicts(wide, [95] + lower[1:])[0] == "unresolved"   # 95 > 90
+    assert verdicts(lower, wide)[1] == "ok"           # higher throughput is better
+
+
+def test_metric_without_a_bound_has_no_verdict():
+    spec = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+    out = bench_pairs.summarize([(result(5, 2), result(4, 3))], spec)
+    assert "verdict" not in out["metrics"]["peak_rss_mb"]

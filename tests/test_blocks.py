@@ -7,6 +7,7 @@ from msar.blocks import (MsarSettings, NetworkSpec, StageSpec, build_network,
                          densenet_cifar, dense_reduced, residual_reduced,
                          resnet_cifar, resnet_ilsvrc, resnext50_ilsvrc)
 from msar.gradcheck import TOLERANCE, check_gradients
+from msar.recalibrate import MultiScaleConfig
 from msar.tensor import Tape, Tensor, backward, cross_entropy
 
 TOY = NetworkSpec(name="toy", family="residual", input_size=8, classes=3,
@@ -16,6 +17,16 @@ TOY_MSAR = NetworkSpec(
     name="toy-msar", family="residual", input_size=8, classes=3,
     stem_width=4, stages=(StageSpec(4, 1, 1), StageSpec(8, 1, 2)),
     msar=MsarSettings(scales=(1, 2), strategy="regional"))
+
+
+def test_msar_settings_are_a_site_config_plus_stage_mode():
+    settings = MsarSettings(scales=(np.int64(2), 1), strategy="sliding")
+    assert isinstance(settings, MultiScaleConfig)
+    assert settings.scales == (2, 1) and all(type(k) is int for k in settings.scales)
+    assert settings.stage_mode == "multi"
+    for bad in ({"scales": (2, 2)}, {"strategy": "global"}, {"stage_mode": "both"}):
+        with pytest.raises(ValueError):
+            MsarSettings(**bad)
 
 
 def test_depth_rule_counts_weighted_layers():

@@ -1,5 +1,7 @@
 """Flat config format: parsing, diagnostics, round-trips, resolution."""
 
+import glob
+import os
 import re
 from dataclasses import fields
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msar.blocks import MsarSettings
+from msar.blocks import MsarSettings, build_network
 from msar.config import (SCHEMA, ExperimentConfig, parse_config, serialize_config,
                          msar_settings, to_network_spec, train_settings)
+from msar.costs import report
 
 
 def test_defaults_from_empty_text():
@@ -148,6 +151,25 @@ def test_float_values_survive_roundtrip_exactly():
     cfg = parse_config("optimizer.lr = 0.30000000000000004\n")
     text = serialize_config(cfg)
     assert parse_config(text).optimizer_lr == cfg.optimizer_lr
+
+
+SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED) >= 9
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_config_round_trips_prices_and_builds(path):
+    with open(path, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    assert parse_config(serialize_config(cfg)) == cfg
+    spec = to_network_spec(cfg)
+    rep = report(spec)
+    assert rep.total_params > 0 and rep.total_flops > 0
+    if spec.family != "grouped" and spec.input_size == 32:
+        assert build_network(spec).parameter_count() == rep.total_params
 
 
 # -- fuzzing: every text parses or fails with its line number -----------------
