@@ -20,8 +20,8 @@ from .config import (PRECISIONS, ExperimentConfig, parse_config, to_network_spec
 from .costs import report
 from .data import channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
-from .pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool, gate,
-                      project_pool, regional_pool)
+from .pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool,
+                      excite_map, gate, project_pool, regional_pool)
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
@@ -231,6 +231,11 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     x15, w15 = t(2, 3, 8, 8), t(2, 3)
     rows.append(("project_pool[sliding]",
                  lambda: project_pool(x15, w15, sl), [x15, w15]))
+
+    u17, w17, g17, b17 = t(2 * 64, 2), t(3, 2), t(3), t(3)
+    st17 = BNState(3)
+    rows.append(("excite_map",
+                 lambda: excite_map(u17, w17, g17, b17, st17, True, sl), [u17, w17, g17, b17]))
 
     # one pass for K = 1, 2, 3 on a 7x5 lattice, read back through the gate
     x16, g16 = t(2, 3, 5, 7), t(2, 3, 5, 7)

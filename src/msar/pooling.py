@@ -35,16 +35,21 @@ float32 running sums keep their precision.  The window is its own adjoint, so
 the backward pass runs the same window sums over og / window size,
 centred the same way.
 
-project_pool is the op a sliding recalibration scale runs: it applies
-the bottleneck's first map w (r x D, no bias) to the map and then takes
-the sliding means, which equals pooling first and mapping after in
-exact arithmetic but runs the window sums over r channels instead of D.
+project_pool is the op a sliding recalibration scale runs first: it
+applies the bottleneck's first map w (r x D, no bias) to the map and
+then takes the sliding means, which equals pooling first and mapping
+after in exact arithmetic but runs the window sums over r channels
+instead of D.  excite_map runs the bottleneck's last map, norm and
+logistic on those r-wide rows, taking the norm's moments from theirs,
+and writes the scale's gate map channel-major.
 
 gate() multiplies a feature map by the mean over scales of per-scale
-gate vectors broadcast over their coordinate sets.  It is one taped op
-whose closure keeps only the input and the small (N, M, D) vectors:
-the full-size mean map is rebuilt in backward instead of being kept,
-and the vectors' gradients take one _scale_sums pass over og * x.
+gates: a regional scale's (N, M, D) vectors broadcast over its cells,
+a sliding scale's map as it is.  It is one taped op whose closure keeps
+the input, the vectors and the maps: the full-size mean map is rebuilt
+in backward by adds instead of being kept, the regional vectors'
+gradients take one _scale_sums pass over og * x, and each sliding map
+takes og * x itself.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _channel_rows, _emit
+from .tensor import (BNState, Tensor, _accumulate, _channel_rows, _emit, _from_rows,
+                     _logistic)
 
 STRATEGIES = ("sliding", "regional")
 
@@ -235,7 +241,7 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
     def bwd(og):
         if regional:
-            _accumulate(x, _gate_map([og / sizes], [spec]))
+            _accumulate(x, _gate_map([og / sizes], [spec], 1))
         else:
             _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(0, 3, 1, 2))
 
@@ -254,6 +260,11 @@ def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetS
     mu = u.mean(axis=(1, 2), keepdims=True)
     u -= mu
     return _box_sums(u, int(spec.threshold)) + mu * sizes
+
+
+def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; over an inner dimension of 1 the outer product, which BLAS runs ~10x slower."""
+    return a * b if a.shape[1] == 1 else a @ b
 
 
 def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
@@ -279,7 +290,8 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
     def bwd(og):
         gz = _sliding_box_adjoint(og, sizes, spec).reshape(-1, r)   # (N*H*W, r)
-        _accumulate(x, (w.data.T @ gz.T).reshape(d, n, height, width).transpose(1, 0, 2, 3))
+        gx = _thin_matmul(w.data.T, gz.T)
+        _accumulate(x, gx.reshape(d, n, height, width).transpose(1, 0, 2, 3))
         _accumulate(w, gz.T @ _channel_rows(x.data).T)
 
     return _emit("coordinate_avg_pool", out, bwd)
@@ -321,11 +333,11 @@ def _expand(cells: np.ndarray, rows, cols) -> np.ndarray:
     return np.ascontiguousarray(out).transpose(1, 0, 2, 3)
 
 
-def _gate_map(vs, specs) -> np.ndarray:
-    """(N, D, H, W) mean over scales of (N, M_s, D) vectors broadcast over their cells.
+def _gate_map(vs, specs, count) -> np.ndarray:
+    """(N, D, H, W) sum of (N, M_s, D) vectors broadcast over their cells, over count.
 
     The scales are combined on the common refinement of their cell edges
-    as (v_1 + v_2) + v_3 ..., then scaled by 1/S, so each position sees
+    as (v_1 + v_2) + v_3 ..., then scaled by 1/count, so each position sees
     the same arithmetic as a sum of full broadcast maps; only the result
     is expanded to the lattice.
     """
@@ -334,8 +346,8 @@ def _gate_map(vs, specs) -> np.ndarray:
     for v, spec in zip(vs, specs):
         part = v[:, _cell_index(spec, rows, cols), :]   # (N, J_h, J_w, D)
         total = part if total is None else total + part
-    if len(vs) > 1:
-        total = total * (1.0 / len(vs))
+    if count > 1:
+        total = total * (1.0 / count)
     return _expand(total, rows, cols)
 
 
@@ -373,24 +385,18 @@ def _refined_sums(g: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _scale_sums(g: np.ndarray, specs) -> list:
-    """Each spec's (N, M, D) cell sums of g (N, D, H, W), new arrays.
+    """Each regional spec's (N, M, D) cell sums of g (N, D, H, W), new arrays.
 
-    The regional specs share one _refined_sums pass over g, and each
-    spec's cells, unions of the refinement cells, are summed from it by
-    one product with the spec's (M, J) 0/1 membership; the product with
-    a lone cell's [[1]] is exact.  Through the 0 weights a non-finite sum makes
-    every cell of its image and channel NaN.  A sliding spec's cells are
-    pixels, so its sums are g itself.
+    The specs share one _refined_sums pass over g, and each spec's
+    cells, unions of the refinement cells, are summed from it by one
+    product with the spec's (M, J) 0/1 membership; the product with a
+    lone cell's [[1]] is exact.  Through the 0 weights a non-finite sum
+    makes every cell of its image and channel NaN.
     """
-    regional = [spec for spec in specs if spec.strategy == "regional"]
-    if regional:
-        rows, cols = _refinement(regional)
-        fine = _refined_sums(g, rows, cols)
+    rows, cols = _refinement(specs)
+    fine = _refined_sums(g, rows, cols)
     out = []
     for spec in specs:
-        if spec.strategy == "sliding":
-            out.append(_cell_sums(g, spec))
-            continue
         cells = _cell_index(spec, rows, cols).reshape(-1)
         member = np.arange(spec.vector_count)[:, None] == cells     # (M, J)
         out.append(member.astype(g.dtype) @ fine)
@@ -464,7 +470,7 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
     if z.shape[1] != spec.vector_count:
         raise ValueError(f"broadcast_weights: {z.shape[1]} vectors but spec has "
                          f"{spec.vector_count}")
-    out = Tensor(_gate_map([z.data], [spec]))
+    out = Tensor(_gate_map([z.data], [spec], 1))
 
     def bwd(og):
         _accumulate(z, _cell_sums(og, spec))
@@ -472,30 +478,108 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
     return _emit("broadcast_weights", out, bwd)
 
 
-def gate(x: Tensor, vs, specs) -> Tensor:
-    """x * mean_s broadcast(vs[s], specs[s]) as one op.
+def excite_map(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
+               training: bool, spec: CoordinateSetSpec) -> Tensor:
+    """(N*H*W, r) reduced rows -> (N, D, H, W) gate map sigmoid(batch_norm(u @ w.T)).
 
-    vs[s] holds the (N, M_s, D) gate vectors of scale s.  The closure
-    keeps x, the vectors and the specs.  Backward gives each vs[s] the
-    cell sums of og * x / S over its own cells (for sliding, og * x / S
-    itself; the regional scales share one pass, _scale_sums), then
-    rebuilds the mean map and gives x og * mean, formed in og's buffer,
-    so that og * x is gone before x's gradient is made.
+    The norm's batch mean w @ mean(u) and variance diag(w cov(u) w.T) follow
+    from u's r-wide moments, so the map is one thin GEMM of the folded weight
+    w * gamma / std with u's centred rows, plus beta, written channel-major
+    (eval mode folds the running statistics).  Backward takes every gradient
+    from og * s * (1 - s) by row sums, two thin GEMMs and r x r terms.
+    Recorded on the tape as gate.
+    """
+    count, r = u.shape
+    if w.shape[1] != r or count % (spec.height * spec.width):
+        raise ValueError(f"excite_map: rows {u.shape} and weight {w.shape} on {spec}")
+    w2 = w.data
+    if training:
+        mu = u.data.mean(axis=0)
+        rows = u.data - mu
+        cov = rows.T @ rows / count
+        mean, var = w2 @ mu, np.einsum("ij,ij->i", w2 @ cov, w2)
+        state.mean += state.momentum * (mean - state.mean)
+        state.var += state.momentum * (var - state.var)
+        base = np.zeros_like(mean)          # the pre-norm mean the centred rows carry
+    else:
+        mu, base, var, rows = np.zeros_like(w2[0]), state.mean.copy(), state.var, u.data
+    inv = 1.0 / np.sqrt(var + state.eps)
+    a = gamma.data * inv
+    fold = w2 * a[:, None]
+    s = _thin_matmul(fold, rows.T)                      # (D, N*H*W)
+    del rows
+    s += (beta.data - a * base)[:, None]
+    _logistic(s, s)
+    n = count // (spec.height * spec.width)
+    out = Tensor(_from_rows(s, (n, w.shape[0], spec.height, spec.width)))
+
+    def bwd(og):
+        dpre = _channel_rows(og)
+        dpre *= (1.0 - s) * s
+        rows = u.data - mu
+        dbeta = dpre.sum(axis=1)
+        p = dpre @ rows                                 # (D, r)
+        dgamma = (np.einsum("ij,ij->i", p, w2) - base * dbeta) * inv
+        du = dpre.T @ fold
+        dw = p * a[:, None]
+        if training:
+            # the batch moments' share: dx = a * (dpre - (dbeta + xhat * dgamma) / count)
+            k = dgamma * inv
+            du -= (rows @ (fold.T @ (w2 * k[:, None])) + fold.T @ dbeta) / count
+            dw -= (w2 @ cov) * (a * k)[:, None]
+        for t, g in ((gamma, dgamma), (beta, dbeta), (w, dw), (u, du)):
+            _accumulate(t, g)
+
+    return _emit("gate", out, bwd)
+
+
+def _mean_map(cells, maps, count) -> np.ndarray:
+    """(N, D, H, W) sum over count of the regional (vectors, spec) cells
+    broadcast by _gate_map (which averages them alone, bitwise as before)
+    and the sliding maps, a new array.
+    """
+    vs, specs = [v.data for v, _ in cells], [spec for _, spec in cells]
+    if not maps:
+        return _gate_map(vs, specs, count)
+    total = _gate_map(vs, specs, 1) if cells else np.zeros_like(maps[0].data)
+    for m in maps:
+        total += m.data
+    if count > 1:
+        total *= 1.0 / count
+    return total
+
+
+def gate(x: Tensor, vs, specs) -> Tensor:
+    """x * mean_s gate_s as one op.
+
+    A regional scale's gate is its (N, M_s, D) vectors broadcast over its
+    cells; a sliding scale's is its (N, D, H, W) map (excite_map).  Backward
+    gives the regional scales the cell sums of og * x / S (one _scale_sums
+    pass) and each map og * x / S itself, then rebuilds the mean map by adds
+    and gives x og * mean, formed in og's buffer.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
-    mean = _gate_map([v.data for v in vs], specs)
+    cells = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
+    maps = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
+    if any(m.shape != x.shape for m in maps):
+        raise ValueError(f"gate: a sliding scale's map does not match x {x.shape}")
+    mean = _mean_map(cells, maps, len(vs))
     mean *= x.data
     out = Tensor(mean)
 
     def bwd(og):
-        g = og * x.data
+        g = np.multiply(og, x.data, out=np.empty_like(x.data))
         if len(vs) > 1:
             g *= 1.0 / len(vs)
-        for v, sums in zip(vs, _scale_sums(g, specs)):
-            _accumulate(v, sums)
+        if cells:
+            for (v, _), sums in zip(cells, _scale_sums(g, [spec for _, spec in cells])):
+                _accumulate(v, sums)
+        for i, m in enumerate(maps):
+            # each map's closure consumes its slot in place
+            _accumulate(m, g.copy(order="K") if i else g)
         del g
-        og *= _gate_map([v.data for v in vs], specs)
+        og *= _mean_map(cells, maps, len(vs))
         _accumulate(x, og)
 
     return _emit("gate", out, bwd)

@@ -6,8 +6,9 @@ normalization, ReLU, then linear, normalization, logistic), giving one
 gate vector per coordinate set.  A single gate op (pooling.gate) then
 multiplies the features by the mean over scales of those vectors,
 broadcast over their coordinate sets, so each position is recalibrated
-by context gathered at several spatial ranges without any full-size
-per-scale map being kept for backward.  A single regional scale with
+by context gathered at several spatial ranges; a regional scale keeps
+no full-size map for backward, and a sliding scale only its gate map.
+A single regional scale with
 one cell collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 
@@ -20,6 +21,10 @@ A sliding scale has a pooled vector per position, and both the window
 mean and the bottleneck's first (bias-free) map are linear, so it
 projects first and pools after (pooling.project_pool): the windows then
 run over the bottleneck's few reduced channels instead of the input's.
+Its second half stays in that reduced space too: pooling.excite_map
+takes the expand norm's batch moments from the reduced rows' mean and
+covariance and writes the scale's gate map with one thin GEMM and the
+logistic, which gate() then uses as it is.
 A sliding window that covers the whole lattice from every position is
 the regional K=1 cell, and such a scale runs as that cell, so its
 bottleneck sees one row per image instead of H*W identical ones; the
@@ -32,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights, gate,
-                      project_pool, regional_pool)
+from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights, excite_map,
+                      gate, project_pool, regional_pool)
 from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
                      relu, reshape, sigmoid)
 
@@ -117,29 +122,28 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def forward(self, pool_src: Tensor, training: bool) -> Tensor:
-        """Gate vectors of this scale alone: (N, d_in, H, W) -> (N, M, d_out) in (0, 1).
-
-        Row m holds the gate of coordinate set m (M = spec.vector_count);
-        broadcast_weights(v, self.spec) paints them onto the lattice.
-        """
+        """Gates of this scale alone, in (0, 1), from an (N, d_in, H, W) source:
+        a regional scale's (N, M, d_out) vectors, row m for cell m, or a
+        sliding scale's (N, d_out, H, W) map, as gate() takes them."""
         if self.spec.strategy == "sliding":
-            return self.vectors(project_pool(pool_src, self.params.w1, self.spec), training)
+            return self.gates(project_pool(pool_src, self.params.w1, self.spec), training)
         means, = regional_pool(pool_src, [self.spec])
-        return self.vectors(means, training)
+        return self.gates(means, training)
 
-    def vectors(self, pooled: Tensor, training: bool) -> Tensor:
-        """Gate vectors (N, M, d_out) from pooled (N, M, .) rows.
+    def gates(self, pooled: Tensor, training: bool) -> Tensor:
+        """This scale's gates (see forward) from its pooled (N, M, .) rows.
 
         A regional scale's rows are its d_in-wide cell means, which the
         bottleneck's first map reduces; a sliding scale's are already
-        reduced (project_pool).
+        reduced (project_pool), and excite_map maps them onto the lattice.
         """
         p = self.params
         n, m, width = pooled.shape
         z = reshape(pooled, (n * m, width))
-        if self.spec.strategy == "regional":
-            z = linear(z, p.w1)
-        v = _excite(z, p, training)
+        if self.spec.strategy == "sliding":
+            u = relu(batch_norm(z, p.g1, p.b1, p.n1, training))
+            return excite_map(u, p.w2, p.g2, p.b2, p.n2, training, self.spec)
+        v = _excite(linear(z, p.w1), p, training)
         return reshape(v, (n, m, v.shape[1]))
 
     def parameters(self):
@@ -178,15 +182,15 @@ class MultiScaleRecalibration:
         pool_src defaults to x itself.  One regional_pool takes every
         regional scale's cell means from a single pass over it; each
         sliding scale projects and pools it (project_pool).  Every
-        scale's gate vectors are computed first, then one gate op
-        combines them and multiplies.
+        scale's gates are computed first, then one gate op combines
+        them and multiplies.
         """
         src = x if pool_src is None else pool_src
         cells = [s.spec for s in self.scales if s.spec.strategy == "regional"]
         means = iter(regional_pool(src, cells) if cells else ())
         pooled = [next(means) if s.spec.strategy == "regional"
                   else project_pool(src, s.params.w1, s.spec) for s in self.scales]
-        return gate(x, [s.vectors(p, training) for s, p in zip(self.scales, pooled)],
+        return gate(x, [s.gates(p, training) for s, p in zip(self.scales, pooled)],
                     [s.spec for s in self.scales])
 
     def parameters(self):

@@ -268,12 +268,21 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", out, bwd)
 
 
+def _logistic(d, out=None):
+    """exp(min(d, 0)) / (1 + exp(-|d|)), stable for both signs, into out (which may be d).
+
+    A new result is allocated after the temporary: allocated before it, glibc
+    held 15 MB more RSS through a regional float64 b128 step.
+    """
+    e = np.exp(-np.abs(d))
+    e += 1.0
+    out = np.exp(np.minimum(d, 0, out=out), out=out)
+    return np.divide(out, e, out=out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, numerically stable for both signs."""
-    d = x.data
-    e = np.exp(-np.abs(d))
-    # exp(min(d, 0)) is e for d < 0 and 1 for d >= 0
-    s = np.exp(np.minimum(d, 0)) / (1.0 + e)
+    s = _logistic(x.data)
     out = Tensor(s)
 
     def bwd(og):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
-                          coordinate_avg_pool, coordinate_set, gate, project_pool,
-                          rect_sum, region_avg_pool, regional_pool)
-from msar.tensor import Tape, Tensor, add, backward, linear, mul, reshape, sum_all
+                          coordinate_avg_pool, coordinate_set, excite_map, gate,
+                          project_pool, rect_sum, region_avg_pool, regional_pool)
+from msar.tensor import BNState, Tape, Tensor, add, backward, linear, mul, reshape, sum_all
 
 
 def prefix_table(x):
@@ -460,6 +460,15 @@ def test_project_pool_rejects_regional_and_mismatched_weight():
         project_pool(x, Tensor(np.zeros((2, 4))), CoordinateSetSpec("sliding", 2, 6, 6))
 
 
+def test_excite_map_rejects_mismatched_rows_and_weight():
+    spec = CoordinateSetSpec("sliding", 2, 4, 4)
+    rest = (Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState(3), True, spec)
+    with pytest.raises(ValueError):                           # weight reads 1 of 2 columns
+        excite_map(Tensor(np.zeros((16, 2))), Tensor(np.zeros((3, 1))), *rest)
+    with pytest.raises(ValueError):                           # 15 rows on a 16-pixel lattice
+        excite_map(Tensor(np.zeros((15, 2))), Tensor(np.zeros((3, 2))), *rest)
+
+
 def test_gate_is_input_times_mean_of_broadcast_maps():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((2, 3, 5, 7))
@@ -472,10 +481,12 @@ def test_gate_is_input_times_mean_of_broadcast_maps():
 
 def test_gate_gradients_both_strategies():
     rng = np.random.default_rng(32)
+    # a sliding scale's gate is its whole (N, D, H, W) map
     for strategy, scales in (("regional", (2, 3)), ("sliding", (1, 2))):
         specs = [CoordinateSetSpec(strategy, k, 7, 5) for k in scales]
         x = Tensor(rng.standard_normal((2, 3, 5, 7)))
-        vs = [Tensor(rng.standard_normal((2, s.vector_count, 3))) for s in specs]
+        vs = [Tensor(rng.standard_normal((2, s.vector_count, 3) if strategy == "regional"
+                                         else x.shape)) for s in specs]
         err = check_gradients(lambda: gate(x, vs, specs), [x] + vs, rng)
         assert err < TOLERANCE
 
@@ -488,3 +499,5 @@ def test_gate_rejects_mismatched_vectors():
         gate(x, [v, v], [spec])                               # 2 vector sets, 1 spec
     with pytest.raises(ValueError):
         gate(x, [], [])
+    with pytest.raises(ValueError):                           # sliding vectors, not a map
+        gate(x, [Tensor(np.zeros((1, 16, 3)))], [CoordinateSetSpec("sliding", 2, 4, 4)])

@@ -733,7 +733,11 @@ def _slot_cases():
     sld = [CoordinateSetSpec("sliding", k, 6, 6) for k in (2, 4)]
     vr = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in reg]
     vs = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in sld]
+    maps = [Tensor(_channel_major(rng.uniform(0.1, 0.9, (2, 3, 6, 6)))) for _ in sld]
     pw = leaf(2, 3)
+    u, ew, egam, ebet = leaf(72, 2), leaf(3, 2), Tensor(rng.uniform(0.5, 1.5, 3)), leaf(3)
+    est = BNState(3)
+    est.mean[...], est.var[...] = rng.standard_normal(3), rng.uniform(0.5, 1.5, 3)
     labels = np.array([0, 3, 1, 5, 2])
     cases = [
         ("add", [x, y], lambda: add(x, y)),
@@ -761,7 +765,14 @@ def _slot_cases():
         ("broadcast-regional", [vr[1]], lambda: msar.pooling.broadcast_weights(vr[1], reg[1])),
         ("broadcast-sliding", [vs[0]], lambda: msar.pooling.broadcast_weights(vs[0], sld[0])),
         ("gate-regional", [x] + vr, lambda: msar.pooling.gate(x, vr, reg)),
-        ("gate-sliding", [x] + vs, lambda: msar.pooling.gate(x, vs, sld)),
+        ("gate-sliding", [x] + maps, lambda: msar.pooling.gate(x, maps, sld)),
+        ("excite_map-train", [u, ew, egam, ebet],
+         lambda: msar.pooling.excite_map(u, ew, egam, ebet, est, True, sld[0])),
+        ("excite_map-eval", [u, ew, egam, ebet],
+         lambda: msar.pooling.excite_map(u, ew, egam, ebet, est, False, sld[0])),
+        ("excite_map-gate", [x, u],
+         lambda: msar.pooling.gate(x, [msar.pooling.excite_map(u, ew, egam, ebet, est, True, sp)
+                                       for sp in sld], sld)),
         ("regional_pool", [x, y],
          lambda: msar.pooling.gate(y, msar.pooling.regional_pool(x, reg), reg)),
         ("regional_pool-self", [x],
@@ -812,7 +823,8 @@ def _assert_slots_apart(loss, leaves):
 
 
 @pytest.mark.parametrize("name", ["add-self", "add", "concat", "concat-self", "reshape",
-                                  "gate-regional", "gate-sliding", "regional_pool"])
+                                  "gate-regional", "gate-sliding", "regional_pool",
+                                  "excite_map-train", "excite_map-eval", "excite_map-gate"])
 def test_handed_over_slots_share_no_memory(name):
     _name, leaves, fn = next(c for c in SLOT_CASES if c[0] == name)
     for t in leaves:
