@@ -18,10 +18,11 @@ tape; its backward reads the mask from its output.
 Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
 boundaries.  Convolution copies its input once into zero-padded,
-channel-major stride phases and runs one small GEMM per kernel tap over
-shifted column ranges of them, so no array kh*kw times the size of the
-input is ever built; its output is an (N, F, H, W) view of channel-major
-(F, N, H, W) memory, and elementwise ops keep that layout.  Channel
+channel-major stride phases and walks their taps' shifted column ranges
+in cache-sized tiles, stacking the thinner side's taps per tile, so no
+array kh*kw times the input is ever built; its output is an (N, F, H, W)
+view of channel-major (F, N, H, W) memory, and elementwise ops keep that
+layout.  Channel
 concatenation and batch normalization write channel-major too, so
 batch_norm's per-channel reductions run over (C, N*H*W) rows of its
 input without a copy.  Max pooling reads its windows through a strided
@@ -314,7 +315,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (per-tap GEMMs on padded channel-major phases) and pooling
+# convolution (tiles of stacked taps on padded channel-major phases) and pooling
 # ---------------------------------------------------------------------------
 
 def _pad_hw(a, pad, value=0.0):
@@ -331,9 +332,10 @@ def _windows(img, kh, kw, stride):
     return view[:, :, ::stride, ::stride] if stride > 1 else view
 
 
-# Below this many kernel rows (C * kh * kw: 27 for an RGB 3x3 stem), one
-# GEMM against the taps' stacked reads beats kh * kw GEMMs of depth C.
-_STACKED_ROWS = 32
+# conv2d walks its grid in tiles of _TILE columns, narrowed for stacks
+# taller than _TILE_ROWS (3x3 taps over 16 channels): a stacked tile is
+# at most 4.7 MB in float64, and the GEMM reads it while still in cache.
+_TILE, _TILE_ROWS = 4096, 144
 
 
 def _phase_axis(u, size, grid, stride, pad):
@@ -346,6 +348,43 @@ def _phase_axis(u, size, grid, stride, pad):
     return slice(a0, a0 + m), slice(first, first + stride * m, stride)
 
 
+def _scratch(rows, span, dtype):
+    """(rows, T) tile buffer, T = _TILE but narrowed as above, and <= span."""
+    return np.empty((rows, max(1, min(_TILE, span, _TILE * _TILE_ROWS // rows))), dtype)
+
+
+def _tiles(width, reads, stack, scratch):
+    """Yield (tile, operand) over columns [0, width), scratch's width at a
+    time: the (source, offset) reads' columns offset + tile, stacked in
+    scratch (a lone read as it is) or, without stack, as a list."""
+    step = scratch.shape[1]
+    for t0 in range(0, width, step):
+        t1 = min(t0 + step, width)
+        parts = [src[:, off + t0:off + t1] for src, off in reads]
+        if stack and len(parts) > 1:
+            parts = np.concatenate(parts, out=scratch[:len(parts) * len(parts[0]), :t1 - t0])
+        elif stack:
+            parts = parts[0]
+        yield slice(t0, t1), parts
+
+
+def _correlate(mats, reads, width, out, scratch):
+    """out[:, :width] = sum over r of mats[r] @ read r, tile by tile: one
+    GEMM on the stacked reads when their source is no taller than the
+    product (depth <= rows), else each product added into out's tile."""
+    rows, depth = mats[0].shape
+    stack = depth <= rows
+    flat = np.concatenate(mats, axis=1) if stack else None
+    for cols, a in _tiles(width, reads, stack, scratch):
+        if stack:
+            np.matmul(flat, a, out=out[:, cols])
+            continue
+        tile, part = out[:, cols], scratch[:rows, :cols.stop - cols.start]
+        np.matmul(mats[0], a[0], out=tile)
+        for m, r in zip(mats[1:], a[1:]):
+            tile += np.matmul(m, r, out=part)
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), kernel (F, C, kh, kw), odd kh=kw.
 
@@ -354,15 +393,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     kernel's reach; at stride 1 there is one phase, and only phases some
     tap reads are built (one, a subsample, for a 1x1 stride-2 kernel).
     Tap (i, j) is then the contiguous column range at offset
-    (i // stride) * wq + j // stride of phase (i % stride, j % stride),
-    so the forward sums one (F, C) @ (C, cols) GEMM per tap and crops the
-    grid to (oh, ow).  Backward places the output gradient on the same
-    grid: the kernel gradient is one GEMM per tap against the same
-    column ranges, and the input gradient is the adjoint, each phase
-    column summing its taps' K^T @ og at minus the tap's offset.  One
-    path serves every stride.  No array kh * kw times the input is
-    built, and the closure keeps only x and k, splitting x again when it
-    runs.  The output is an (N, F, oh, ow) view of (F, N, oh, ow) memory.
+    (i // stride) * wq + j // stride of phase (i % stride, j % stride).
+    The forward sums K_ij @ (tap's read) per output tile (_correlate).
+    Backward places og on the same grid behind a zero margin and fills
+    each phase's tiles with the adjoint, its taps' K_ij^T @ (og read at
+    minus the tap's offset).  The kernel gradient takes og's stacked
+    reads against the phase's tile before that is overwritten, or, with
+    C < F, the input's stacked reads against og's tiles.  No array
+    kh * kw times the input is built, and the closure keeps only x and
+    k, splitting x again when it runs.  The output is the cropped grid,
+    an (N, F, oh, ow) view of (F, N, oh, ow) memory.
     """
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError(f"conv2d: need 4-D input and kernel, got {x.shape}, {k.shape}")
@@ -404,64 +444,53 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     def taps_of(kernel):
         return np.ascontiguousarray(kernel.transpose(2, 3, 0, 1), dtype=dt)
 
-    bufs = split()
-    y = np.empty((f, span), dt)
-    if len(taps) > 1 and c * len(taps) <= _STACKED_ROWS:
-        # a reduction this short starves each per-tap GEMM: stack the
-        # taps' shifted reads into one small (kh * kw * C, cols) matrix
-        stacked = np.concatenate([bufs[p][:, off:off + cols] for _i, _j, p, off in taps])
-        np.matmul(k.data.transpose(0, 2, 3, 1).reshape(f, -1), stacked, out=y[:, :cols])
-        del stacked
-    else:
-        kt = taps_of(k.data)
-        part = np.empty((f, cols), dt)
-        for t, (i, j, p, off) in enumerate(taps):
-            src = bufs[p][:, off:off + cols]
-            if t == 0:
-                np.matmul(kt[i, j], src, out=y[:, :cols])
-            else:
-                np.matmul(kt[i, j], src, out=part)
-                y[:, :cols] += part
-        del part
-    del bufs
+    bufs, kt = split(), taps_of(k.data)
+    y, scratch = np.empty((f, span), dt), _scratch(len(taps) * c if c <= f else f, span, dt)
+    _correlate([kt[i, j] for i, j, _p, _off in taps], [(bufs[p], off) for _i, _j, p, off in taps],
+               cols, y, scratch)
+    # the kept output is allocated before the temporaries are freed, so they
+    # leave holes below it; freed at the heap's top they are trimmed and
+    # faulted in again by the next pass
     out = Tensor(np.ascontiguousarray(y.reshape(f, n, hq, wq)[:, :, :oh, :ow]).transpose(1, 0, 2, 3))
+    del bufs, scratch, y
 
     def bwd(og):
         # og on the output grid, behind a margin of `reach` zero columns so
         # that every tap's shifted read of it stays inside the buffer
         gm = np.zeros((f, reach + span), dt)
         gm[:, reach:].reshape(f, n, hq, wq)[:, :, :oh, :ow] = og.transpose(1, 0, 2, 3)
-        g = gm[:, reach:reach + cols]
-        bufs = split()
-        dk = np.empty((kh, kw, f, c), dt)
-        for i, j, p, off in taps:
-            np.matmul(g, bufs[p][:, off:off + cols].T, out=dk[i, j])
-        del bufs
-        _accumulate(k, dk.transpose(2, 3, 0, 1))
-        # the adjoint of the forward's shifted reads: phase column q takes
-        # tap t's K^T @ og from output column q - off_t
-        kt = taps_of(k.data)
-        dbufs = {}
-        part = np.empty((c, span), dt)
-        for i, j, p, off in taps:
-            src = gm[:, reach - off:reach - off + span]
-            if p not in dbufs:
-                dbufs[p] = np.matmul(kt[i, j].T, src)
-            else:
-                np.matmul(kt[i, j].T, src, out=part)
-                dbufs[p] += part
-        del part, gm, g
+        bufs, kt = split(), taps_of(k.data)
+        scratch = _scratch(len(taps) * min(c, f), span, dt)
+        dk = np.zeros((f, len(taps), c), dt)
+        if c < f:
+            for tile, a in _tiles(cols, [(bufs[p], off) for _i, _j, p, off in taps], True, scratch):
+                dk.reshape(f, -1)[...] += gm[:, reach + tile.start:reach + tile.stop] @ a.T
+        # phase column q takes tap t's K^T @ og from grid column q - off_t
+        for p, buf in bufs.items():
+            mine = [t for t, (_i, _j, q, _off) in enumerate(taps) if q == p]
+            mats = [kt[taps[t][0], taps[t][1]].T for t in mine]
+            reads = [(gm, reach - taps[t][3]) for t in mine]
+            if c < f:
+                _correlate(mats, reads, span, buf, scratch)
+                continue
+            flat, acc = np.concatenate(mats, axis=1), np.zeros((len(mine) * f, c), dt)
+            for tile, a in _tiles(span, reads, True, scratch):
+                acc += a @ buf[:, tile].T
+                np.matmul(flat, a, out=buf[:, tile])
+            dk[:, mine] = acc.reshape(len(mine), f, c).transpose(1, 0, 2)
+        _accumulate(k, dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         if x.grad is None:
             # written once, not zero-filled and added to; over zeros only
-            # where some input position is read by no tap
+            # where some input position is read by no tap.  Like out, it is
+            # allocated before the temporaries are freed
             xg = (np.empty if whole else np.zeros)((c, n, h, w), x.dtype)
             for p, ((ga, ia), (gb, ib)) in phases.items():
-                xg[:, :, ia, ib] = dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+                xg[:, :, ia, ib] = bufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
             _accumulate(x, xg.transpose(1, 0, 2, 3))
         else:
             xg = x.grad.transpose(1, 0, 2, 3)
             for p, ((ga, ia), (gb, ib)) in phases.items():
-                xg[:, :, ia, ib] += dbufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+                xg[:, :, ia, ib] += bufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
 
     return _emit("conv2d", out, bwd)
 
@@ -583,7 +612,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     if training:
         m = rows.mean(axis=1)
         y = rows - m[:, None]
-        v = np.einsum("ij,ij->i", y, y) / count
+        # one BLAS dot per row: blocked sums, closer in float32 than einsum's
+        v = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / count
         state.mean += state.momentum * (m - state.mean)
         state.var += state.momentum * (v - state.var)
         inv = 1.0 / np.sqrt(v + eps)
@@ -602,7 +632,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         ogr = _channel_rows(og)
         d = _channel_rows(x.data) - m[:, None]
         dbet = ogr.sum(axis=1)
-        dgam = np.einsum("ij,ij->i", ogr, d) * inv
+        dgam = np.matmul(ogr[:, None, :], d[:, :, None])[:, 0, 0] * inv
         _accumulate(gamma, dgam)
         _accumulate(beta, dbet)
         if training:

@@ -202,9 +202,9 @@ def _channel_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
-@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
-@pytest.mark.parametrize("case", list(LAYER_CASES.values()), ids=list(LAYER_CASES))
-def test_conv2d_matches_window_oracle_on_layer_shapes(case, layout):
+def _check_against_window_oracle(case, layout):
+    """conv2d's output, input and kernel gradients on one case against
+    window_conv2d: float64 within 1e-12, float32 within 1e-5 of the largest."""
     stride, pad = case[-2:]
     x, k, og = _conv_case(case)
     if layout == "channel-major":
@@ -220,6 +220,29 @@ def test_conv2d_matches_window_oracle_on_layer_shapes(case, layout):
         assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+@pytest.mark.parametrize("case", list(LAYER_CASES.values()), ids=list(LAYER_CASES))
+def test_conv2d_matches_window_oracle_on_layer_shapes(case, layout):
+    _check_against_window_oracle(case, layout)
+
+
+# every layer shape, plus a batch of one and a map whose whole grid (one
+# 4x4 phase per stride-2 tap class, 16 columns) is shorter than a tile
+TILE_CASES = dict(LAYER_CASES, **{"n1-16to16-k3s1": (1, 16, 16, 32, 32, 3, 1, 1),
+                                  "tiny-4to6-k3s2": (1, 4, 6, 5, 5, 3, 2, 1)})
+
+
+@pytest.mark.parametrize("tile", [7, 33, 1000])
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+@pytest.mark.parametrize("case", list(TILE_CASES.values()), ids=list(TILE_CASES))
+def test_conv2d_tile_boundaries_match_window_oracle(case, layout, tile, monkeypatch):
+    # odd tile widths put tile edges everywhere: inside an image row, on
+    # the column cap cols = span - reach, and a last tile of a few columns
+    # in the forward, the kernel gradient and the input gradient
+    monkeypatch.setattr(msar.tensor, "_TILE", tile)
+    _check_against_window_oracle(case, layout)
+
+
 def test_conv2d_rejects_bad_stride_or_pad():
     # pad=-1 used to crop silently (a 2x2 output here); stride 0 and -1
     # used to run as stride 1
@@ -230,17 +253,13 @@ def test_conv2d_rejects_bad_stride_or_pad():
             conv2d(x, k, stride=stride, pad=pad)
 
 
-def test_conv2d_transient_memory():
-    # window copies made the forward peak 11x and the backward 13x the
-    # input; the per-tap GEMMs need a few padded input-sized buffers
-    rng = np.random.default_rng(23)
-    x = Tensor(rng.standard_normal((32, 16, 32, 32)))
-    k = Tensor(rng.standard_normal((16, 16, 3, 3)))
-    og = rng.standard_normal((32, 16, 32, 32))
+def _conv_transient_peaks(x, k, og, stride, pad):
+    """Peak bytes traced during conv2d's forward, and during its backward
+    above what was held before it."""
     tracemalloc.start()
     try:
         with Tape() as tape:
-            conv2d(x, k, stride=1, pad=1)
+            conv2d(x, k, stride=stride, pad=pad)
         forward_peak = tracemalloc.get_traced_memory()[1]
         (_name, _out, bwd), = tape._entries
         tracemalloc.reset_peak()
@@ -249,6 +268,32 @@ def test_conv2d_transient_memory():
         backward_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+    return forward_peak, backward_peak
+
+
+def test_conv2d_transient_memory():
+    # window copies made the forward peak 11x and the backward 13x the
+    # input; the tile walk needs a few padded input-sized buffers and one
+    # tile-sized scratch matrix
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((32, 16, 32, 32)))
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)))
+    og = rng.standard_normal((32, 16, 32, 32))
+    forward_peak, backward_peak = _conv_transient_peaks(x, k, og, 1, 1)
+    assert forward_peak <= 5 * x.data.nbytes
+    assert backward_peak <= 8 * x.data.nbytes
+
+
+def test_conv2d_wide_input_transient_memory():
+    # a dense step's 3x3 conv, 160 -> 12 channels: stacking its input's
+    # 9 * 160 rows over the whole map would take 10x the input, so the
+    # forward must run tap by tap, and only the 12-row output gradient's
+    # taps may be stacked, one tile at a time
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((32, 160, 32, 32)).astype(np.float32))
+    k = Tensor(rng.standard_normal((12, 160, 3, 3)).astype(np.float32))
+    og = rng.standard_normal((32, 12, 32, 32)).astype(np.float32)
+    forward_peak, backward_peak = _conv_transient_peaks(x, k, og, 1, 1)
     assert forward_peak <= 5 * x.data.nbytes
     assert backward_peak <= 8 * x.data.nbytes
 
@@ -439,6 +484,25 @@ def test_batch_norm_float32_large_offset_keeps_precision():
         tols = (resolution, resolution, resolution, 1e-5, 1e-5, 1e-5)
         for a, b, tol in zip(got, want, tols):
             assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+def test_batch_norm_float32_long_rows_match_float64():
+    # 524k values per channel: a single running float32 sum of squares
+    # drifts to ~3e-5 of the float64 variance; the blocked BLAS dots stay
+    # within 1e-6, for the variance and for the gamma gradient
+    rng = np.random.default_rng(46)
+    x = _layout(rng.standard_normal((128, 2, 64, 64)) * 2.0 + 0.5, "channel-major")
+    results = []
+    for dtype in (np.float32, np.float64):
+        xt = Tensor(x.astype(np.float32).astype(dtype))
+        gamma, beta, state = Tensor(np.ones(2, dtype)), Tensor(np.zeros(2, dtype)), BNState(2, dtype)
+        state.var[:] = 0.0  # so the running variance is 0.1 * the batch's
+        with Tape() as tape:
+            loss = sum_all(mul(batch_norm(xt, gamma, beta, state, training=True), xt))
+        backward(tape, loss)
+        results.append((state.var, gamma.grad))
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("layout", ["channel-major", "batch-major"])
