@@ -18,11 +18,10 @@ tape; its backward reads the mask from its output.
 Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
 boundaries.  Convolution copies its input once into zero-padded,
-channel-major stride phases and walks their taps' shifted column ranges
-in cache-sized tiles, stacking the thinner side's taps per tile, so no
-array kh*kw times the input is ever built; its output is an (N, F, H, W)
-view of channel-major (F, N, H, W) memory, and elementwise ops keep that
-layout.  Channel
+channel-major stride phases and stacks the thinner side's shifted tap
+reads one cache-sized tile at a time, so no array kh*kw times the input
+is ever built; its output is an (N, F, H, W) view of channel-major
+(F, N, H, W) memory, and elementwise ops keep that layout.  Channel
 concatenation and batch normalization write channel-major too, so
 batch_norm's per-channel reductions run over (C, N*H*W) rows of its
 input without a copy.  Max pooling reads its windows through a strided
@@ -332,9 +331,6 @@ def _windows(img, kh, kw, stride):
     return view[:, :, ::stride, ::stride] if stride > 1 else view
 
 
-# conv2d walks its grid in tiles of _TILE columns, narrowed for stacks
-# taller than _TILE_ROWS (3x3 taps over 16 channels): a stacked tile is
-# at most 4.7 MB in float64, and the GEMM reads it while still in cache.
 _TILE, _TILE_ROWS = 4096, 144
 
 
@@ -349,40 +345,38 @@ def _phase_axis(u, size, grid, stride, pad):
 
 
 def _scratch(rows, span, dtype):
-    """(rows, T) tile buffer, T = _TILE but narrowed as above, and <= span."""
+    """(rows, T) tile buffer: T = _TILE columns, <= span, narrowed for stacks
+    taller than _TILE_ROWS (3x3 taps over 16 channels) to 4.7 MB in float64."""
     return np.empty((rows, max(1, min(_TILE, span, _TILE * _TILE_ROWS // rows))), dtype)
 
 
-def _tiles(width, reads, stack, scratch):
-    """Yield (tile, operand) over columns [0, width), scratch's width at a
+def _tiles(width, reads, scratch):
+    """Yield (tile, reads) over columns [0, width), scratch's width at a
     time: the (source, offset) reads' columns offset + tile, stacked in
-    scratch (a lone read as it is) or, without stack, as a list."""
-    step = scratch.shape[1]
-    for t0 in range(0, width, step):
-        t1 = min(t0 + step, width)
+    scratch if it is as tall as they are (a lone read as it is), else a list."""
+    for t0 in range(0, width, scratch.shape[1]):
+        t1 = min(t0 + scratch.shape[1], width)
         parts = [src[:, off + t0:off + t1] for src, off in reads]
-        if stack and len(parts) > 1:
-            parts = np.concatenate(parts, out=scratch[:len(parts) * len(parts[0]), :t1 - t0])
-        elif stack:
-            parts = parts[0]
+        if len(parts) * len(parts[0]) == len(scratch):
+            parts = parts[0] if len(parts) == 1 else np.concatenate(parts, out=scratch[:, :t1 - t0])
         yield slice(t0, t1), parts
 
 
-def _correlate(mats, reads, width, out, scratch):
-    """out[:, :width] = sum over r of mats[r] @ read r, tile by tile: one
-    GEMM on the stacked reads when their source is no taller than the
-    product (depth <= rows), else each product added into out's tile."""
-    rows, depth = mats[0].shape
-    stack = depth <= rows
-    flat = np.concatenate(mats, axis=1) if stack else None
-    for cols, a in _tiles(width, reads, stack, scratch):
-        if stack:
-            np.matmul(flat, a, out=out[:, cols])
+def _correlate(mats, reads, width, out, scratch, grad=None):
+    """out[:, :width] = sum over r of mats[r] @ read r, tile by tile: one GEMM
+    on the reads stacked in scratch (first adding them times out's old tile
+    into grad, if given), else each product added into out's cached tile."""
+    flat = np.concatenate(mats, axis=1)
+    for tile, a in _tiles(width, reads, scratch):
+        if not isinstance(a, list):
+            if grad is not None:
+                grad += a @ out[:, tile].T
+            np.matmul(flat, a, out=out[:, tile])
             continue
-        tile, part = out[:, cols], scratch[:rows, :cols.stop - cols.start]
-        np.matmul(mats[0], a[0], out=tile)
+        part = scratch[:, :tile.stop - tile.start]
+        np.matmul(mats[0], a[0], out=out[:, tile])
         for m, r in zip(mats[1:], a[1:]):
-            tile += np.matmul(m, r, out=part)
+            out[:, tile] += np.matmul(m, r, out=part)
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -394,15 +388,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     tap reads are built (one, a subsample, for a 1x1 stride-2 kernel).
     Tap (i, j) is then the contiguous column range at offset
     (i // stride) * wq + j // stride of phase (i % stride, j % stride).
-    The forward sums K_ij @ (tap's read) per output tile (_correlate).
-    Backward places og on the same grid behind a zero margin and fills
-    each phase's tiles with the adjoint, its taps' K_ij^T @ (og read at
-    minus the tap's offset).  The kernel gradient takes og's stacked
-    reads against the phase's tile before that is overwritten, or, with
-    C < F, the input's stacked reads against og's tiles.  No array
-    kh * kw times the input is built, and the closure keeps only x and
-    k, splitting x again when it runs.  The output is the cropped grid,
-    an (N, F, oh, ow) view of (F, N, oh, ow) memory.
+    Each direction walks the grid in tiles, stacking the thinner side's
+    reads (_correlate): the forward sums K_ij @ (tap's read) and crops to
+    (oh, ow); backward places og on the same grid and fills each phase
+    with the adjoint, its taps' K_ij^T @ og read at minus their offsets.
+    og's stacked reads meet the phase's old tile for the kernel gradient,
+    or, with C < F, the input's stacked reads meet og.  No array kh * kw
+    times the input is built; the closure keeps only x and k, splitting
+    x again.  The output is an (N, F, oh, ow) view of (F, N, oh, ow) memory.
     """
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError(f"conv2d: need 4-D input and kernel, got {x.shape}, {k.shape}")
@@ -446,43 +439,34 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     bufs, kt = split(), taps_of(k.data)
     y, scratch = np.empty((f, span), dt), _scratch(len(taps) * c if c <= f else f, span, dt)
-    _correlate([kt[i, j] for i, j, _p, _off in taps], [(bufs[p], off) for _i, _j, p, off in taps],
-               cols, y, scratch)
-    # the kept output is allocated before the temporaries are freed, so they
-    # leave holes below it; freed at the heap's top they are trimmed and
-    # faulted in again by the next pass
+    _correlate(list(kt.reshape(-1, f, c)), [(bufs[p], off) for _i, _j, p, off in taps], cols, y, scratch)
+    # out is allocated before the temporaries go: freed at the heap's top they would be trimmed
     out = Tensor(np.ascontiguousarray(y.reshape(f, n, hq, wq)[:, :, :oh, :ow]).transpose(1, 0, 2, 3))
-    del bufs, scratch, y
 
     def bwd(og):
         # og on the output grid, behind a margin of `reach` zero columns so
         # that every tap's shifted read of it stays inside the buffer
         gm = np.zeros((f, reach + span), dt)
         gm[:, reach:].reshape(f, n, hq, wq)[:, :, :oh, :ow] = og.transpose(1, 0, 2, 3)
-        bufs, kt = split(), taps_of(k.data)
-        scratch = _scratch(len(taps) * min(c, f), span, dt)
+        bufs, kt, scratch = split(), taps_of(k.data), _scratch(len(taps) * min(c, f), span, dt)
         dk = np.zeros((f, len(taps), c), dt)
         if c < f:
-            for tile, a in _tiles(cols, [(bufs[p], off) for _i, _j, p, off in taps], True, scratch):
+            # the input is the thinner side: dk from its stacked reads
+            for tile, a in _tiles(cols, [(bufs[p], off) for _i, _j, p, off in taps], scratch):
                 dk.reshape(f, -1)[...] += gm[:, reach + tile.start:reach + tile.stop] @ a.T
         # phase column q takes tap t's K^T @ og from grid column q - off_t
         for p, buf in bufs.items():
-            mine = [t for t, (_i, _j, q, _off) in enumerate(taps) if q == p]
-            mats = [kt[taps[t][0], taps[t][1]].T for t in mine]
-            reads = [(gm, reach - taps[t][3]) for t in mine]
-            if c < f:
-                _correlate(mats, reads, span, buf, scratch)
-                continue
-            flat, acc = np.concatenate(mats, axis=1), np.zeros((len(mine) * f, c), dt)
-            for tile, a in _tiles(span, reads, True, scratch):
-                acc += a @ buf[:, tile].T
-                np.matmul(flat, a, out=buf[:, tile])
-            dk[:, mine] = acc.reshape(len(mine), f, c).transpose(1, 0, 2)
+            mine = [t for t, tap in enumerate(taps) if tap[2] == p]
+            acc = np.zeros((len(mine) * f, c), dt)
+            _correlate([kt[taps[t][0], taps[t][1]].T for t in mine],
+                       [(gm, reach - taps[t][3]) for t in mine], span, buf,
+                       scratch[:c if c < f else len(mine) * f], acc)
+            if c >= f:
+                dk[:, mine] = acc.reshape(len(mine), f, c).transpose(1, 0, 2)
         _accumulate(k, dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         if x.grad is None:
             # written once, not zero-filled and added to; over zeros only
-            # where some input position is read by no tap.  Like out, it is
-            # allocated before the temporaries are freed
+            # where some input position is read by no tap
             xg = (np.empty if whole else np.zeros)((c, n, h, w), x.dtype)
             for p, ((ga, ia), (gb, ib)) in phases.items():
                 xg[:, :, ia, ib] = bufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
@@ -589,6 +573,14 @@ def _from_rows(rows, shape):
     return np.moveaxis(rows.reshape((shape[1], shape[0]) + shape[2:]), 0, 1)
 
 
+def _row_dots(a, b):
+    """Per-row dots of (C, M) rows: float32 by BLAS dots, closer than einsum's
+    running sum; float64 by einsum, as its dots thread and can stall."""
+    if a.dtype == np.float32:
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.einsum("ij,ij->i", a, b)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
                training: bool) -> Tensor:
     """Per-feature normalization over every axis except axis 1.
@@ -612,8 +604,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     if training:
         m = rows.mean(axis=1)
         y = rows - m[:, None]
-        # one BLAS dot per row: blocked sums, closer in float32 than einsum's
-        v = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / count
+        v = _row_dots(y, y) / count
         state.mean += state.momentum * (m - state.mean)
         state.var += state.momentum * (v - state.var)
         inv = 1.0 / np.sqrt(v + eps)
@@ -632,7 +623,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         ogr = _channel_rows(og)
         d = _channel_rows(x.data) - m[:, None]
         dbet = ogr.sum(axis=1)
-        dgam = np.matmul(ogr[:, None, :], d[:, :, None])[:, 0, 0] * inv
+        dgam = _row_dots(ogr, d) * inv
         _accumulate(gamma, dgam)
         _accumulate(beta, dbet)
         if training:

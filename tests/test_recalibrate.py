@@ -520,8 +520,8 @@ def test_float32_sliding_expand_grads_track_float64():
     # a stage-0 site at batch 32, gradients and expand_norm statistics: the
     # chain's float32 batch_norm backward cancels over 32768 full-size rows,
     # the folded one in r x r moments.  Measured: scale2's expand.weight is
-    # off by 8.8e-6 folded and by 6.1e-4 chained (3.2e-2 while batch_norm
-    # summed its rows with einsum's single running sum)
+    # off by 5.1e-5 folded and by 6.1e-4 chained (3.2e-2 while batch_norm
+    # summed its rows with einsum's single running sum), so 1e-4 parts them
     geometry = ((1, 2, 4), "sliding", 32, 32)
     kw = {"d_in": 16, "d_out": 16, "batch": 32, "reduced": 1}
     want = dict(run_site(fused, geometry, True, **kw))
@@ -530,7 +530,7 @@ def test_float32_sliding_expand_grads_track_float64():
         errs = {key: np.abs(got[key] - want[key]).max() / np.abs(want[key]).max()
                 for key in want if ".expand" in key and ".scale1." not in key}
         if name == "excite_map":
-            assert max(errs.values()) <= 1e-3, errs
+            assert max(errs.values()) <= 1e-4, errs
         else:
             assert errs["m.scale2.expand.weight"] > 1e-4, errs
 
