@@ -345,15 +345,13 @@ def _phase_axis(u, size, grid, stride, pad):
 
 
 def _scratch(rows, span, dtype):
-    """(rows, T) tile buffer: T = _TILE columns, <= span, narrowed for stacks
-    taller than _TILE_ROWS (3x3 taps over 16 channels) to 4.7 MB in float64."""
+    """(rows, T) tile buffer: T <= span, _TILE, and _TILE * _TILE_ROWS / rows."""
     return np.empty((rows, max(1, min(_TILE, span, _TILE * _TILE_ROWS // rows))), dtype)
 
 
 def _tiles(width, reads, scratch):
-    """Yield (tile, reads) over columns [0, width), scratch's width at a
-    time: the (source, offset) reads' columns offset + tile, stacked in
-    scratch if it is as tall as they are (a lone read as it is), else a list."""
+    """Yield (tile, reads) over [0, width) in scratch-wide tiles: the reads'
+    (source, offset) columns offset + tile, stacked in scratch if as tall."""
     for t0 in range(0, width, scratch.shape[1]):
         t1 = min(t0 + scratch.shape[1], width)
         parts = [src[:, off + t0:off + t1] for src, off in reads]
@@ -363,9 +361,9 @@ def _tiles(width, reads, scratch):
 
 
 def _correlate(mats, reads, width, out, scratch, grad=None):
-    """out[:, :width] = sum over r of mats[r] @ read r, tile by tile: one GEMM
-    on the reads stacked in scratch (first adding them times out's old tile
-    into grad, if given), else each product added into out's cached tile."""
+    """out[:, :width] = sum of mats[r] @ read r per tile: one GEMM on reads
+    stacked in scratch (adding them times out's old tile into grad first,
+    if given), else one product at a time into the tile while it is cached."""
     flat = np.concatenate(mats, axis=1)
     for tile, a in _tiles(width, reads, scratch):
         if not isinstance(a, list):
@@ -411,15 +409,19 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
     s = stride
     oh, ow = (h + 2 * pad - kh) // s + 1, (w + 2 * pad - kw) // s + 1
-    hq, wq = oh + (kh - 1) // s, ow + (kw - 1) // s
+    rh, rw = oh + (kh - 1) // s, ow + (kw - 1) // s     # grid rows, columns taps read
+    phases = {(i % s, j % s): (_phase_axis(i % s, h, rh, s, pad), _phase_axis(j % s, w, rw, s, pad))
+              for i in range(kh) for j in range(kw)}
+    # an image's grid ends where reads past it land on the next image's
+    # leading zeros, so neighbouring rows and images share their padding
+    hq = max([oh] + [max(ga.stop, rh - ga.start) for (ga, _ia), _b in phases.values()])
+    wq = max([ow] + [max(gb.stop, rw - gb.start) for _a, (gb, _ib) in phases.values()])
     span = n * hq * wq
-    # grid columns whose every tap stays inside the buffer; they include
-    # every output position, and the rest of the grid is cropped away
+    # grid columns up to the last output position; the buffers hold every
+    # tap's read of them, zero past the grid, and the crop drops the rest
     reach = (kh - 1) // s * wq + (kw - 1) // s
-    cols = span - reach
+    cols = span - (hq - oh) * wq - (wq - ow)
     taps = [(i, j, (i % s, j % s), i // s * wq + j // s) for i in range(kh) for j in range(kw)]
-    phases = {p: (_phase_axis(p[0], h, hq, s, pad), _phase_axis(p[1], w, wq, s, pad))
-              for _i, _j, p, _off in taps}
     # the phases read disjoint input positions; whole if they read them all
     whole = sum(len(range(h)[ia]) * len(range(w)[ib])
                 for (_ga, ia), (_gb, ib) in phases.values()) == h * w
@@ -429,9 +431,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         xc = x.data.transpose(1, 0, 2, 3)
         bufs = {}
         for p, ((ga, ia), (gb, ib)) in phases.items():
-            buf = np.zeros((c, n, hq, wq), dt)
-            buf[:, :, ga, gb] = xc[:, :, ia, ib]
-            bufs[p] = buf.reshape(c, span)
+            bufs[p] = np.zeros((c, cols + reach), dt)
+            bufs[p][:, :span].reshape(c, n, hq, wq)[:, :, ga, gb] = xc[:, :, ia, ib]
         return bufs
 
     def taps_of(kernel):
@@ -440,7 +441,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     bufs, kt = split(), taps_of(k.data)
     y, scratch = np.empty((f, span), dt), _scratch(len(taps) * c if c <= f else f, span, dt)
     _correlate(list(kt.reshape(-1, f, c)), [(bufs[p], off) for _i, _j, p, off in taps], cols, y, scratch)
-    # out is allocated before the temporaries go: freed at the heap's top they would be trimmed
+    # out is allocated while the temporaries live: freed at the heap's top they get trimmed
     out = Tensor(np.ascontiguousarray(y.reshape(f, n, hq, wq)[:, :, :oh, :ow]).transpose(1, 0, 2, 3))
 
     def bwd(og):
@@ -469,12 +470,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             # where some input position is read by no tap
             xg = (np.empty if whole else np.zeros)((c, n, h, w), x.dtype)
             for p, ((ga, ia), (gb, ib)) in phases.items():
-                xg[:, :, ia, ib] = bufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+                xg[:, :, ia, ib] = bufs[p][:, :span].reshape(c, n, hq, wq)[:, :, ga, gb]
             _accumulate(x, xg.transpose(1, 0, 2, 3))
         else:
             xg = x.grad.transpose(1, 0, 2, 3)
             for p, ((ga, ia), (gb, ib)) in phases.items():
-                xg[:, :, ia, ib] += bufs[p].reshape(c, n, hq, wq)[:, :, ga, gb]
+                xg[:, :, ia, ib] += bufs[p][:, :span].reshape(c, n, hq, wq)[:, :, ga, gb]
 
     return _emit("conv2d", out, bwd)
 

@@ -226,10 +226,12 @@ def test_conv2d_matches_window_oracle_on_layer_shapes(case, layout):
     _check_against_window_oracle(case, layout)
 
 
-# every layer shape, plus a batch of one and a map whose whole grid (one
-# 4x4 phase per stride-2 tap class, 16 columns) is shorter than a tile
+# every layer shape, plus a batch of one, a map whose whole grid (one
+# 4x4 phase per stride-2 tap class, 16 columns) is shorter than a tile, and
+# the small geometries above, whose images share pad rows and columns
 TILE_CASES = dict(LAYER_CASES, **{"n1-16to16-k3s1": (1, 16, 16, 32, 32, 3, 1, 1),
-                                  "tiny-4to6-k3s2": (1, 4, 6, 5, 5, 3, 2, 1)})
+                                  "tiny-4to6-k3s2": (1, 4, 6, 5, 5, 3, 2, 1)},
+                  **dict(zip(CONV_IDS, CONV_CASES)))
 
 
 @pytest.mark.parametrize("tile", [7, 33, 1000])
