@@ -350,10 +350,11 @@ def _scratch(rows, span, dtype):
 
 
 def _tiles(width, reads, scratch):
-    """Yield (tile, reads) over [0, width) in scratch-wide tiles: the reads'
-    (source, offset) columns offset + tile, stacked in scratch if as tall."""
-    for t0 in range(0, width, scratch.shape[1]):
-        t1 = min(t0 + scratch.shape[1], width)
+    """Yield (tile, the reads' columns offset + tile) over [0, width) in tiles
+    as wide as scratch, or one for a lone read; stacked in scratch if as tall."""
+    step = scratch.shape[1] if len(reads) > 1 else width
+    for t0 in range(0, width, step):
+        t1 = min(t0 + step, width)
         parts = [src[:, off + t0:off + t1] for src, off in reads]
         if len(parts) * len(parts[0]) == len(scratch):
             parts = parts[0] if len(parts) == 1 else np.concatenate(parts, out=scratch[:, :t1 - t0])
