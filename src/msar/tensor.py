@@ -382,9 +382,9 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), kernel (F, C, kh, kw), odd kh=kw.
 
     The input is copied once into zero-padded, channel-major stride
-    phases, each (C, N * hq * wq) on the output grid widened by the
-    kernel's reach; at stride 1 there is one phase, and only phases some
-    tap reads are built (one, a subsample, for a 1x1 stride-2 kernel).
+    phases, each (C, N * hq * wq) on the output grid, widened until reads
+    past the map land on zeros; at stride 1 there is one phase, and only
+    phases a tap reads are built (one subsample for a 1x1 stride-2 kernel).
     Tap (i, j) is then the contiguous column range at offset
     (i // stride) * wq + j // stride of phase (i % stride, j % stride).
     Each direction walks the grid in tiles, stacking the thinner side's
