@@ -2,12 +2,11 @@
 
 Usage: python3 scripts/conv_layers.py --parent DIR [--reps 5]
 
-Loads msar.tensor from this checkout and from DIR into one process.  Each
-workload's conv shapes come from its layer plan (blocks.plan, the rows
-costs.report prices) at its batch and precision, one line per shape with
-its layer count.  After a warm-up, each repetition times the forward and
-the backward closure on both sides, alternating which goes first, and
-the line holds the medians in ms, parent -> change.
+Loads msar.tensor from this checkout and from DIR into one process and
+takes each workload's conv shapes from its layer plan (blocks.plan) at
+its batch and precision.  After a warm-up, each repetition times the
+forward and the backward closure on both sides, alternating which goes
+first; each line holds one shape's medians in ms, parent -> change.
 """
 
 import argparse
