@@ -278,7 +278,9 @@ class Stem(Block):
     def forward(self, x, training, recalibrate=True):
         y = self.conv.forward(x)
         if self.norm is not None:
-            y = relu(self.norm.forward(y, training))
+            # rebinding y lets an untaped forward free each map once the next is made
+            y = self.norm.forward(y, training)
+            y = relu(y)
         return max_pool2d(y, 3, 2, 1) if self.pool else y
 
 

@@ -118,9 +118,11 @@ def train(network, train_images, train_labels, test_images, test_labels,
     Each epoch visits the records in a fresh random order, in batches of
     settings.batch_size; when one record would be left over, it joins
     the last full batch instead (n=9 at batch 4 trains on 4 and 5).
-    Rows are dicts keyed epoch, train_loss, train_err, test_loss,
-    test_err, lr, seconds.  With log_timing off the seconds column is
-    written as 0.0 so identical runs produce identical rows.
+    Each epoch's evaluations run in the same batches, as `msar eval`
+    does, so they hold no larger maps than a step.  Rows are dicts keyed
+    epoch, train_loss, train_err, test_loss, test_err, lr, seconds.  With
+    log_timing off the seconds column is written as 0.0 so identical runs
+    produce identical rows.
     """
     rng = np.random.default_rng(settings.seed)
     opt = NesterovSGD(network.parameters(), settings.momentum, settings.weight_decay)
@@ -143,8 +145,8 @@ def train(network, train_images, train_labels, test_images, test_labels,
                 loss = cross_entropy(logits, yb)
                 backward(tape, loss)
             opt.step(lr)
-        train_loss, train_err = evaluate(network, train_images, train_labels)
-        test_loss, test_err = evaluate(network, test_images, test_labels)
+        train_loss, train_err = evaluate(network, train_images, train_labels, settings.batch_size)
+        test_loss, test_err = evaluate(network, test_images, test_labels, settings.batch_size)
         seconds = time.monotonic() - start if settings.log_timing else 0.0
         rows.append({"epoch": epoch, "train_loss": train_loss, "train_err": train_err,
                      "test_loss": test_loss, "test_err": test_err, "lr": lr,

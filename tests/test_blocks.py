@@ -1,9 +1,11 @@
 """Network assembly: shapes, widths, registries, and end-to-end gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from msar.blocks import (MsarSettings, NetworkSpec, StageSpec, build_network,
+from msar.blocks import (MsarSettings, NetworkSpec, StageSpec, Stem, build_network,
                          densenet_cifar, dense_reduced, residual_reduced,
                          resnet_cifar, resnet_ilsvrc, resnext50_ilsvrc)
 from msar.gradcheck import TOLERANCE, check_gradients
@@ -27,6 +29,27 @@ def test_msar_settings_are_a_site_config_plus_stage_mode():
     for bad in ({"scales": (2, 2)}, {"strategy": "global"}, {"stage_mode": "both"}):
         with pytest.raises(ValueError):
             MsarSettings(**bad)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_untaped_stem_forward_peaks_in_its_convolution():
+    # eval mode keeps no tape: the conv output is freed once normalized,
+    # so the norm and relu after it hold two maps, not three, and the
+    # stem's peak is its convolution's
+    stem = Stem("stem", 3, 16, 3, 1, 32, True, False, None,
+                np.random.default_rng(0), np.float64)
+    x = Tensor(np.random.default_rng(1).standard_normal((32, 3, 32, 32)))
+    conv_peak = _traced_peak(stem.conv.forward, x)
+    map_bytes = 32 * 16 * 32 * 32 * 8
+    assert _traced_peak(stem.forward, x, False) <= conv_peak + map_bytes // 4
 
 
 def test_depth_rule_counts_weighted_layers():

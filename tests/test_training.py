@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import msar.training
 from msar.blocks import NetworkSpec, StageSpec, build_network
 from msar.cli import main
 from msar.data import write_synthetic
@@ -135,6 +136,20 @@ def test_train_returns_curve_rows():
         assert set(r) == set(CURVE_HEADER.split(","))
         assert r["seconds"] == 0.0
         assert r["lr"] == pytest.approx(0.05)
+
+
+def test_train_evaluates_in_training_batches(monkeypatch):
+    # as `msar eval` does: an evaluation holds no larger maps than a step
+    sizes = []
+
+    def spy(network, images, labels, batch_size=250):
+        sizes.append(batch_size)
+        return evaluate(network, images, labels, batch_size)
+
+    monkeypatch.setattr(msar.training, "evaluate", spy)
+    xs, ys = make_split(16, 63)
+    train(build_network(TOY, seed=2), xs, ys, xs[:8], ys[:8], fixed_settings())
+    assert sizes == [4] * 4
 
 
 def test_train_loss_decreases_on_learnable_task():
