@@ -14,12 +14,17 @@ pixel is read once) and _gate_map broadcasts per-cell vectors back.  A
 regional mean is its cell sum divided by the cell size in the input's
 dtype, so a K=1 mean is bitwise a plain global average.
 
+A site's pooled sums are mh @ map @ mw.T over a C-contiguous (D, N, H, W)
+copy of the map (_band_sums, two GEMMs), with mh and mw the 0/1
+membership of rows and columns in bands (_band): a regional cell's
+edges, or a sliding window's |i - j| <= r.  A band's size is its row sum.
+
 A recalibration site pools all its regional scales with one
 regional_pool, which reads the map once: the coarse cells of every
 scale are unions of the cells of the scales' common refinement, so the
-map is summed over those (_refined_sums: row bands, then column bands)
-and each scale's cell sums are taken from that small array by a product
-with the scale's 0/1 membership of refinement cells.
+map is summed over those (_refined_sums) and each scale's cell sums are
+taken from that small array by a product with the scale's 0/1
+membership of refinement cells.
 Backward gathers every scale's gradient onto the refinement cells and
 expands the total into the map's gradient once (_expand).  When the
 refinement is one cell (a lone K=1 scale) the sum is the direct global
@@ -28,12 +33,10 @@ the oracle these are checked against.  _expand writes its maps
 channel-major, (D, N, H, W) in memory, like the conv2d and batch_norm
 outputs they are multiplied with or added to.
 
-A clipped square window is separable, so sliding means are two 1-D
-window sums (_box_sums: a prefix sum and three slice ops per axis) over
-one channel-last copy of the map, centred on its own mean so that
-float32 running sums keep their precision.  The window is its own adjoint, so
-the backward pass runs the same window sums over og / window size,
-centred the same way.
+Sliding band sums run on a copy of the map centred on its own mean, so
+float32 sums keep their precision.  The window band is symmetric, so the
+window is its own adjoint: backward runs the same band sums over
+og / window size, centred the same way.
 
 project_pool is the op a sliding recalibration scale runs first: it
 applies the bottleneck's first map w (r x D, no bias) to the map and
@@ -55,7 +58,6 @@ takes og * x itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -163,50 +165,54 @@ def _grid(spec: CoordinateSetSpec):
     return _edges(spec.height, spec.k), _edges(spec.width, spec.k)
 
 
-def _window_sizes(n: int, r: int) -> np.ndarray:
-    pos = np.arange(n)
-    return np.minimum(n - 1, pos + r) - np.maximum(0, pos - r) + 1
+def _band(n: int, bands, dtype) -> np.ndarray:
+    """(J, n) 0/1 membership of n positions in J bands, in dtype.
 
-
-def _box_sums(a: np.ndarray, r: int) -> np.ndarray:
-    """Sums of the clipped windows of half-width r along axes 1 and 2 of a.
-
-    Each axis takes one prefix sum p and three slice ops: position i reads
-    p[min(i + r, n - 1)], less p[i - r - 1] when i > r.  A window that
-    spans a whole axis is that axis's sum, left at length one for the
-    caller to broadcast.
+    bands is either the edges of consecutive bands [e_j, e_j+1), or the
+    half-width r of the n clipped windows |i - j| <= r, whose matrix is
+    symmetric.  A band's size is its row sum.
     """
-    for axis in (1, 2):
-        n = a.shape[axis]
-        if r >= n - 1:
-            a = a.sum(axis=axis, keepdims=True)
-            continue
-        p = np.cumsum(a, axis=axis)
-        out = np.empty_like(p)
-        pv, ov = np.moveaxis(p, axis, 0), np.moveaxis(out, axis, 0)
-        ov[:n - r] = pv[r:]
-        ov[n - r:] = pv[-1]
-        ov[r + 1:] -= pv[:n - r - 1]
-        a = out
-    return a
+    pos = np.arange(n)
+    if isinstance(bands, int):
+        member = np.abs(pos[:, None] - pos) <= bands
+    else:
+        edges = np.asarray(bands)[:, None]
+        member = (edges[:-1] <= pos) & (pos < edges[1:])
+    return member.astype(dtype)
+
+
+def _band_sums(a: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """mh @ a @ mw.T over the last two axes of a C-contiguous (D, N, H, W) a.
+
+    Two GEMMs: a's rows times mw.T, then, with that intermediate swapped
+    to (D, N, J_w, H), its rows times mh.T.  The sums come back stored
+    transposed, (D, N, J_w, J_h), so a map stored (D, N, W, H) and
+    summed with the bands swapped comes back (D, N, H, W).
+    """
+    d, n, height, width = a.shape
+    t = (a.reshape(-1, width) @ mw.T).reshape(d * n, height, -1)
+    t = np.ascontiguousarray(t.transpose(0, 2, 1))
+    return (t.reshape(-1, height) @ mh.T).reshape(d, n, len(mw), len(mh))
 
 
 def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """(N, D, H, W) -> (N, H*W, D) clipped-window means, and the (H, W, 1) window sizes.
+    """(N, D, H, W) -> (N, H*W, D) clipped-window means, and the (H, W) window sizes.
 
-    The window sums run over a channel-last copy of x centred on each
-    map's own mean, which is added back to the means.  This is exact in
-    exact arithmetic and keeps the running sums near zero, so a float32
+    The window sums run over one (D, N, H, W) copy of x centred on each
+    map's own mean (taken on the copy, so x's layout does not matter),
+    which is added back.  That keeps the sums near zero, so a float32
     map loses little to cancellation.  Sizes come back in x's dtype.
     """
     n, d, height, width = x.shape
     r = int(spec.threshold)
-    mu = x.mean(axis=(2, 3), keepdims=True).transpose(0, 2, 3, 1)
-    centred = np.empty((n, height, width, d), dtype=x.dtype)
-    np.subtract(x.transpose(0, 2, 3, 1), mu, out=centred)
-    sizes = np.outer(_window_sizes(height, r), _window_sizes(width, r))[..., None].astype(x.dtype)
-    means = _box_sums(centred, r) / sizes
-    means += mu
+    mh, mw = _band(height, r, x.dtype), _band(width, r, x.dtype)
+    centred = x.transpose(1, 0, 2, 3).copy()
+    mu = centred.mean(axis=(2, 3), keepdims=True)
+    centred -= mu
+    sizes = np.outer(mh.sum(axis=1), mw.sum(axis=1))
+    means = np.empty((n, height, width, d), dtype=x.dtype)
+    np.divide(_band_sums(centred, mh, mw).transpose(1, 3, 2, 0), sizes[..., None], out=means)
+    means += mu.transpose(1, 2, 3, 0)
     return means.reshape(n, height * width, d), sizes
 
 
@@ -243,23 +249,29 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
         if regional:
             _accumulate(x, _gate_map([og / sizes], [spec], 1))
         else:
-            _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(0, 3, 1, 2))
+            _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(1, 0, 2, 3))
 
     return _emit("coordinate_avg_pool", out, bwd)
 
 
 def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
-    """Adjoint of _sliding_box_means: (N, H*W, D) -> channel-last (N, H, W, D).
+    """Adjoint of _sliding_box_means: (N, H*W, D) -> C-contiguous (D, N, H, W).
 
-    Window membership is symmetric, so the adjoint of the clipped-box
-    average is a clipped-box sum of u = og/|S| over the same geometry;
-    u is centred like the forward map and its mean comes back as mu*|S|.
+    The window band is symmetric, so the adjoint is the same band sums
+    over u = og/|S|, copied (D, N, W, H) so that they come back
+    (D, N, H, W), and centred like the forward map; u's mean comes back
+    as mu*|S|.
     """
-    height, width = sizes.shape[:2]
-    u = og.reshape(og.shape[0], height, width, -1) / sizes
-    mu = u.mean(axis=(1, 2), keepdims=True)
+    n, _, d = og.shape
+    height, width = sizes.shape
+    r = int(spec.threshold)
+    u = np.empty((d, n, width, height), dtype=og.dtype)
+    np.divide(og.reshape(n, height, width, d).transpose(3, 0, 2, 1), sizes.T, out=u)
+    mu = u.mean(axis=(2, 3), keepdims=True)
     u -= mu
-    return _box_sums(u, int(spec.threshold)) + mu * sizes
+    out = _band_sums(u, _band(width, r, og.dtype), _band(height, r, og.dtype))
+    out += mu * sizes
+    return out
 
 
 def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,10 +301,10 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     out = Tensor(y)
 
     def bwd(og):
-        gz = _sliding_box_adjoint(og, sizes, spec).reshape(-1, r)   # (N*H*W, r)
-        gx = _thin_matmul(w.data.T, gz.T)
+        gz = _sliding_box_adjoint(og, sizes, spec).reshape(r, -1)   # (r, N*H*W)
+        gx = _thin_matmul(w.data.T, gz)
         _accumulate(x, gx.reshape(d, n, height, width).transpose(1, 0, 2, 3))
-        _accumulate(w, gz.T @ _channel_rows(x.data).T)
+        _accumulate(w, gz @ _channel_rows(x.data).T)
 
     return _emit("coordinate_avg_pool", out, bwd)
 
@@ -351,37 +363,20 @@ def _gate_map(vs, specs, count) -> np.ndarray:
     return _expand(total, rows, cols)
 
 
-def _band_sums(a: np.ndarray, edges, axis: int) -> np.ndarray:
-    """Sums of a over the bands [edges[j], edges[j+1]) of one axis.
-
-    Each run of consecutive bands of one width is summed by one einsum
-    over a view that splits the run into (bands, width), so each element
-    of a is read once; the grids of a (1, 2, 4) site on 32, 16 or 8
-    pixels are one run.
-    """
-    letters = "abcdef"[:a.ndim + 1]
-    subscripts = f"{letters}->{letters[:axis + 1]}{letters[axis + 2:]}"
-    parts, j = [], 0
-    for width, run in groupby(np.diff(edges)):
-        count = len(list(run))
-        view = a[(slice(None),) * axis + (slice(edges[j], edges[j + count]),)]
-        view = view.reshape(a.shape[:axis] + (count, width) + a.shape[axis + 1:])
-        parts.append(np.einsum(subscripts, view))
-        j += count
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
 def _refined_sums(g: np.ndarray, rows, cols) -> np.ndarray:
     """(N, D, H, W) -> (N, J, D) sums of g over the J refinement cells.
 
-    One pass over g: the row bands first, then the column bands of that
+    One pass over a (D, N, H, W) C-contiguous copy of g (a view when g
+    is channel-major): the band sums of the cells' rows and columns
     (_band_sums).  A refinement of one cell is g.sum(axis=(2, 3)), as
     _cell_sums takes it.
     """
-    n, d = g.shape[:2]
+    n, d, height, width = g.shape
     if len(rows) == 2 and len(cols) == 2:
         return g.sum(axis=(2, 3))[:, None, :]
-    return np.moveaxis(_band_sums(_band_sums(g, rows, 2), cols, 3), 1, 3).reshape(n, -1, d)
+    a = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+    sums = _band_sums(a, _band(height, rows, g.dtype), _band(width, cols, g.dtype))
+    return sums.transpose(1, 3, 2, 0).reshape(n, -1, d)
 
 
 def _scale_sums(g: np.ndarray, specs) -> list:

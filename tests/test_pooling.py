@@ -250,6 +250,30 @@ def test_regional_pool_matches_per_scale_oracle(site, channel_major):
                 assert np.abs(a - b).max() <= bound * np.abs(b).max()
 
 
+def test_regional_site_float32_tracks_float64_at_workload_lattice():
+    # a (1, 2, 4) site on a stage-0 lattice, past the 12x12 the fuzzing
+    # reaches: regional_pool's means, then the gate's backward over og * x
+    specs = [CoordinateSetSpec("regional", k, 32, 32) for k in (1, 2, 4)]
+    rng = np.random.default_rng(36)
+    x = (rng.standard_normal((32, 48, 32, 32)) + 3.0).astype(np.float32)
+    vs = [rng.standard_normal((32, s.vector_count, 48)).astype(np.float32) for s in specs]
+    ogs = [rng.standard_normal((32, s.vector_count, 48)).astype(np.float32) for s in specs]
+    og = rng.standard_normal(x.shape).astype(np.float32)
+    got = []
+    for dtype in (np.float32, np.float64):
+        xt, vt = Tensor(x.astype(dtype)), [Tensor(v.astype(dtype)) for v in vs]
+        with Tape() as tape:
+            means = regional_pool(xt, specs)
+            loss = reduce(add, [sum_all(mul(y, Tensor(g.astype(dtype))))
+                                for y, g in zip(means, ogs)])
+            loss = add(loss, sum_all(mul(gate(xt, vt, specs), Tensor(og.astype(dtype)))))
+        backward(tape, loss)
+        got.append([m.data for m in means] + [xt.grad] + [v.grad for v in vt])
+    for a, b in zip(*got):
+        assert a.dtype == np.float32 and a.shape == b.shape
+        assert np.abs(a - b).max() <= FLOAT32_SITE_BOUND * np.abs(b).max()
+
+
 def test_regional_pool_rejects_sliding_and_mismatched_specs():
     x = Tensor(np.zeros((1, 3, 6, 6)))
     with pytest.raises(ValueError):
@@ -458,6 +482,29 @@ def test_project_pool_rejects_regional_and_mismatched_weight():
         project_pool(x, Tensor(np.zeros((2, 3))), CoordinateSetSpec("regional", 2, 6, 6))
     with pytest.raises(ValueError):
         project_pool(x, Tensor(np.zeros((2, 4))), CoordinateSetSpec("sliding", 2, 6, 6))
+
+
+LAYOUT_POOLS = {
+    "regional": lambda x, w: [coordinate_avg_pool(x, CoordinateSetSpec("regional", 3, 9, 7))],
+    "sliding": lambda x, w: [coordinate_avg_pool(x, CoordinateSetSpec("sliding", 3, 9, 7))],
+    "project_pool": lambda x, w: [project_pool(x, w, CoordinateSetSpec("sliding", 2, 9, 7))],
+    "regional_pool": lambda x, w: regional_pool(
+        x, [CoordinateSetSpec("regional", k, 9, 7) for k in (1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_POOLS))
+def test_pools_do_not_depend_on_input_layout(name):
+    # a batch-major and a channel-major copy of the same values (conv2d
+    # writes the latter) pool and backpropagate to the same bits
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((3, 5, 7, 9)) + 2.0
+    w, pool = Tensor(rng.standard_normal((2, 5))), LAYOUT_POOLS[name]
+    ogs = [rng.standard_normal(y.shape) for y in pool(Tensor(x), w)]
+    channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    got = [pooled_with_grad(lambda t: pool(t, w), layout, ogs) for layout in (x, channel_major)]
+    for a, b in zip(*got):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_excite_map_rejects_mismatched_rows_and_weight():
