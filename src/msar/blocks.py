@@ -31,8 +31,7 @@ import numpy as np
 from .data import IMAGE_SHAPE
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, batch_norm, concat_channels,
-                     conv2d, global_avg_pool, avg_pool2d, linear, max_pool2d,
-                     relu)
+                     conv2d, global_avg_pool, avg_pool2d, linear, max_pool2d)
 
 FAMILIES = ("plain", "residual", "dense", "grouped")
 STAGE_MODES = ("multi", "single")
@@ -146,8 +145,8 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(features), dtype=dtype)
         self.state = BNState(features, dtype=dtype)
 
-    def forward(self, x, training):
-        return batch_norm(x, self.gamma, self.beta, self.state, training)
+    def forward(self, x, training, relu=False):
+        return batch_norm(x, self.gamma, self.beta, self.state, training, relu)
 
     def parameters(self):
         return [(f"{self.name}.gamma", self.gamma, "norm"),
@@ -278,9 +277,9 @@ class Stem(Block):
     def forward(self, x, training, recalibrate=True):
         y = self.conv.forward(x)
         if self.norm is not None:
-            # rebinding y lets an untaped forward free each map once the next is made
-            y = self.norm.forward(y, training)
-            y = relu(y)
+            # rebinding y lets an untaped forward free the conv output once
+            # normalized; the relu runs in the norm's buffer
+            y = self.norm.forward(y, training, relu=True)
         return max_pool2d(y, 3, 2, 1) if self.pool else y
 
 
@@ -289,7 +288,9 @@ class ResidualBlock(Block):
 
     The skip path is the identity, or a bare 1x1 strided convolution when
     the shape changes.  Recalibration gates the second normalization's
-    output before the addition, pooling from that same tensor.
+    output before the addition, pooling from that same tensor.  The tail
+    is one op that keeps only its output: the site's gate takes the skip,
+    and an ungated block adds with relu=True.
     """
 
     @staticmethod
@@ -301,12 +302,12 @@ class ResidualBlock(Block):
                 *_shortcut_and_recal(name, c_in, c_out, stride, size, msar)]
 
     def forward(self, x, training, recalibrate=True):
-        y = relu(self.norm1.forward(self.conv1.forward(x), training))
+        y = self.norm1.forward(self.conv1.forward(x), training, relu=True)
         y = self.norm2.forward(self.conv2.forward(y), training)
-        if self.recal is not None and recalibrate:
-            y = self.recal.forward(y, training)
         skip = self.project.forward(x) if self.project is not None else x
-        return relu(add(y, skip))
+        if self.recal is not None and recalibrate:
+            return self.recal.forward(y, training, skip=skip)
+        return add(y, skip, relu=True)
 
 
 class GroupedBlock:
@@ -348,8 +349,8 @@ class DenseStep(Block):
         return layers
 
     def forward(self, x, training, recalibrate=True):
-        y = self.conv1.forward(relu(self.norm1.forward(x, training)))
-        y = self.conv2.forward(relu(self.norm2.forward(y, training)))
+        y = self.conv1.forward(self.norm1.forward(x, training, relu=True))
+        y = self.conv2.forward(self.norm2.forward(y, training, relu=True))
         if self.recal is not None and recalibrate:
             src = x if self.msar.stage_mode == "multi" else y
             y = self.recal.forward(y, training, pool_src=src)
@@ -365,7 +366,7 @@ class PlainBlock(Block):
                 _norm(f"{name}.norm", c_out, size)]
 
     def forward(self, x, training, recalibrate=True):
-        return relu(self.norm.forward(self.conv.forward(x), training))
+        return self.norm.forward(self.conv.forward(x), training, relu=True)
 
 
 class Transition(Block):
@@ -377,7 +378,7 @@ class Transition(Block):
                 Layer(f"{name}.conv", "compress", c_in, c_out, size)]
 
     def forward(self, x, training, recalibrate=True):
-        return avg_pool2d(self.conv.forward(relu(self.norm.forward(x, training))), 2)
+        return avg_pool2d(self.conv.forward(self.norm.forward(x, training, relu=True)), 2)
 
 
 class Head(Block):
@@ -391,7 +392,7 @@ class Head(Block):
 
     def forward(self, x, training, recalibrate=True):
         if self.norm is not None:
-            x = relu(self.norm.forward(x, training))
+            x = self.norm.forward(x, training, relu=True)
         return self.fc.forward(global_avg_pool(x))
 
 

@@ -242,6 +242,18 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     gs16 = [CoordinateSetSpec("regional", k, 7, 5) for k in (1, 2, 3)]
     rows.append(("regional_pool",
                  lambda: gate(g16, regional_pool(x16, gs16), gs16), [x16, g16]))
+
+    # the fused relu tails the nets run: norm -> relu, skip add, gated skip add
+    x18, g18, b18 = t(3, 4, 5, 5), t(4), t(4)
+    st18 = BNState(4)
+    rows.append(("batch_norm[relu]",
+                 lambda: batch_norm(x18, g18, b18, st18, training=True, relu=True),
+                 [x18, g18, b18]))
+    a19, b19 = t(2, 3, 4, 4), t(2, 3, 4, 4)
+    rows.append(("add[relu]", lambda: add(a19, b19, relu=True), [a19, b19]))
+    x20, s20 = t(2, 3, 5, 7), t(2, 3, 5, 7)
+    v20 = [t(2, s.vector_count, 3) for s in gs]
+    rows.append(("gate[skip]", lambda: gate(x20, v20, gs, skip=s20), [x20, s20] + v20))
     return rows
 
 

@@ -544,14 +544,17 @@ def _mean_map(cells, maps, count) -> np.ndarray:
     return total
 
 
-def gate(x: Tensor, vs, specs) -> Tensor:
-    """x * mean_s gate_s as one op.
+def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
+    """x * mean_s gate_s as one op, or relu(x * mean_s gate_s + skip) with a skip.
 
     A regional scale's gate is its (N, M_s, D) vectors broadcast over its
     cells; a sliding scale's is its (N, D, H, W) map (excite_map).  Backward
     gives the regional scales the cell sums of og * x / S (one _scale_sums
     pass) and each map og * x / S itself, then rebuilds the mean map by adds
-    and gives x og * mean, formed in og's buffer.
+    and gives x og * mean, formed in og's buffer.  A skip is added and the
+    relu taken in the product's buffer, so the tape keeps that one map for
+    a residual block's whole tail; backward masks og in place by out > 0
+    first and hands the skip a copy, as relu(add(gate(...), skip)) does.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
@@ -559,11 +562,19 @@ def gate(x: Tensor, vs, specs) -> Tensor:
     maps = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
     if any(m.shape != x.shape for m in maps):
         raise ValueError(f"gate: a sliding scale's map does not match x {x.shape}")
+    if skip is not None and skip.shape != x.shape:
+        raise ValueError(f"gate: skip {skip.shape} does not match x {x.shape}")
     mean = _mean_map(cells, maps, len(vs))
     mean *= x.data
+    if skip is not None:
+        mean += skip.data
+        np.maximum(mean, 0, out=mean)
     out = Tensor(mean)
 
     def bwd(og):
+        if skip is not None:
+            og *= out.data > 0
+            _accumulate(skip, og.copy())
         g = np.multiply(og, x.data, out=np.empty_like(x.data))
         if len(vs) > 1:
             g *= 1.0 / len(vs)

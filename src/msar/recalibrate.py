@@ -40,7 +40,7 @@ import numpy as np
 from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights, excite_map,
                       gate, project_pool, regional_pool)
 from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
-                     relu, reshape, sigmoid)
+                     reshape, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _bottleneck(flat: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
 
 def _excite(z: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
     """The bottleneck after its first map: normalization, ReLU, expand, normalization, logistic."""
-    u = relu(batch_norm(z, p.g1, p.b1, p.n1, training))
+    u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
     return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
 
 
@@ -141,7 +141,7 @@ class ScaleRecalibration:
         n, m, width = pooled.shape
         z = reshape(pooled, (n * m, width))
         if self.spec.strategy == "sliding":
-            u = relu(batch_norm(z, p.g1, p.b1, p.n1, training))
+            u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
             return excite_map(u, p.w2, p.g2, p.b2, p.n2, training, self.spec)
         v = _excite(linear(z, p.w1), p, training)
         return reshape(v, (n, m, v.shape[1]))
@@ -175,15 +175,16 @@ class MultiScaleRecalibration:
             for k, spec in zip(config.scales, config.specs(width, height))
         ]
 
-    def forward(self, x: Tensor, training: bool,
-                pool_src: Tensor | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool, pool_src: Tensor | None = None,
+                skip: Tensor | None = None) -> Tensor:
         """Multiply x by the mean of the per-scale gates.
 
         pool_src defaults to x itself.  One regional_pool takes every
         regional scale's cell means from a single pass over it; each
         sliding scale projects and pools it (project_pool).  Every
         scale's gates are computed first, then one gate op combines
-        them and multiplies.
+        them and multiplies; given a residual skip, that op also adds
+        it and takes the relu.
         """
         src = x if pool_src is None else pool_src
         cells = [s.spec for s in self.scales if s.spec.strategy == "regional"]
@@ -191,7 +192,7 @@ class MultiScaleRecalibration:
         pooled = [next(means) if s.spec.strategy == "regional"
                   else project_pool(src, s.params.w1, s.spec) for s in self.scales]
         return gate(x, [s.gates(p, training) for s, p in zip(self.scales, pooled)],
-                    [s.spec for s in self.scales])
+                    [s.spec for s in self.scales], skip)
 
     def parameters(self):
         return [entry for s in self.scales for entry in s.parameters()]

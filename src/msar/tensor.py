@@ -13,7 +13,10 @@ leaves (parameters, inputs) hold a .grad.  An empty slot is not
 zero-filled to add one array into: _accumulate hands the closure's
 fresh gradient (or og itself, or a view of it) over as the slot, so
 each slot is an array no other slot shares.  relu keeps no mask on the
-tape; its backward reads the mask from its output.
+tape; its backward reads the mask from its output.  A relu that follows
+a norm or an add runs inside that op (batch_norm and add take relu=True,
+pooling.gate a skip), in the op's own output buffer, so the tape keeps
+no map that only a relu reads.
 
 Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
@@ -173,12 +176,19 @@ def _accumulate(t: Tensor, g) -> None:
 # elementwise and shape ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """a + b, or with relu=True max(a + b, 0) taken in the sum's buffer, so
+    the tape keeps only that one map; backward then masks og in place by
+    out > 0 first, as relu does."""
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
+    if relu:
+        np.maximum(out.data, 0, out=out.data)
 
     def bwd(og):
+        if relu:
+            og *= out.data > 0
         _accumulate(a, og)
         # og may be a's slot now
         _accumulate(b, og.copy())
@@ -584,7 +594,7 @@ def _row_dots(a, b):
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool) -> Tensor:
+               training: bool, relu: bool = False) -> Tensor:
     """Per-feature normalization over every axis except axis 1.
 
     Training mode normalizes with the batch moments (biased variance) and
@@ -596,6 +606,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     mean and inverse std, and backward recomputes the normalized input
     from x.  Eval mode is one per-channel affine, x * a + c.  A map comes
     out channel-major, and a (rows, C) matrix as (rows, C).
+
+    relu=True takes max(., 0) in place in the output buffer, so the tape
+    keeps no normalized map that only a relu reads.  Backward masks og in
+    place by out > 0 (equal to the norm's output > 0) and then runs the
+    same passes; the arithmetic and its order are relu(batch_norm(.))'s.
     """
     if x.ndim < 2:
         raise ValueError(f"batch_norm: need at least 2-D input, got {x.shape}")
@@ -619,9 +634,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         a = gamma.data * inv
         y = rows * a[:, None]
         y += (beta.data - m * a)[:, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     out = Tensor(_from_rows(y, x.shape))
 
     def bwd(og):
+        if relu:
+            og *= out.data > 0
         ogr = _channel_rows(og)
         d = _channel_rows(x.data) - m[:, None]
         dbet = ogr.sum(axis=1)

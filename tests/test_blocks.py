@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msar.blocks import (MsarSettings, NetworkSpec, StageSpec, Stem, build_network,
-                         densenet_cifar, dense_reduced, residual_reduced,
-                         resnet_cifar, resnet_ilsvrc, resnext50_ilsvrc)
+from msar.blocks import (DenseStep, MsarSettings, NetworkSpec, ResidualBlock, StageSpec,
+                         Stem, build_network, densenet_cifar, dense_reduced,
+                         residual_reduced, resnet_cifar, resnet_ilsvrc, resnext50_ilsvrc)
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.recalibrate import MultiScaleConfig
 from msar.tensor import Tape, Tensor, backward, cross_entropy
@@ -42,14 +42,53 @@ def _traced_peak(fn, *args):
 
 def test_untaped_stem_forward_peaks_in_its_convolution():
     # eval mode keeps no tape: the conv output is freed once normalized,
-    # so the norm and relu after it hold two maps, not three, and the
-    # stem's peak is its convolution's
+    # and the relu runs in the norm's buffer, so the stem holds two maps,
+    # not three, and its peak is its convolution's
     stem = Stem("stem", 3, 16, 3, 1, 32, True, False, None,
                 np.random.default_rng(0), np.float64)
     x = Tensor(np.random.default_rng(1).standard_normal((32, 3, 32, 32)))
     conv_peak = _traced_peak(stem.conv.forward, x)
     map_bytes = 32 * 16 * 32 * 32 * 8
     assert _traced_peak(stem.forward, x, False) <= conv_peak + map_bytes // 4
+
+
+def _held_maps(block, x, min_bytes):
+    """Distinct buffers of at least min_bytes that one training forward's
+    tape holds: each entry's output and closure cells, views by their base."""
+    with Tape() as tape:
+        block.forward(x, training=True)
+    bases = {}
+    for _name, out, fn in tape._entries:
+        cells = [c.cell_contents for c in fn.__closure__ or ()]
+        for a in [out.data] + [c.data if isinstance(c, Tensor) else c for c in cells]:
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                if a.nbytes >= min_bytes:
+                    bases[id(a)] = a
+    return len(bases)
+
+
+@pytest.mark.parametrize("kind, msar, held", [
+    ("residual", MsarSettings((1, 2, 4), "regional"), 6),
+    ("residual", MsarSettings((1, 2, 4), "sliding"), 8),
+    ("residual", None, 6),
+    ("dense", MsarSettings((1, 2, 4), "regional"), 8)],
+    ids=["regional", "sliding", "plain", "dense-step"])
+def test_tape_keeps_no_map_only_a_relu_or_add_reads(kind, msar, held):
+    # input, conv1, norm1 with its relu, conv2, norm2 and one tail map (plus
+    # a sliding scale's gate map each); the composed norm -> relu and
+    # gate -> add -> relu held 9, 11 and 8, and the dense step 10
+    rng = np.random.default_rng(49)
+    if kind == "residual":
+        block = ResidualBlock("b", 16, 16, 1, 8, msar, rng, np.float64)
+        x = Tensor(rng.standard_normal((4, 16, 8, 8)))
+        map_bytes = x.data.nbytes
+    else:
+        block = DenseStep("s", 24, 12, 8, msar, rng, np.float64)
+        x = Tensor(rng.standard_normal((4, 24, 8, 8)))
+        map_bytes = 4 * 12 * 8 * 8 * 8
+    assert _held_maps(block, x, map_bytes) == held
 
 
 def test_depth_rule_counts_weighted_layers():

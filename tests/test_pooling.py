@@ -11,7 +11,8 @@ from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, broadcast_weights, build_sat,
                           coordinate_avg_pool, coordinate_set, excite_map, gate,
                           project_pool, rect_sum, region_avg_pool, regional_pool)
-from msar.tensor import BNState, Tape, Tensor, add, backward, linear, mul, reshape, sum_all
+from msar.tensor import (BNState, Tape, Tensor, add, backward, linear, mul, relu, reshape,
+                         sum_all)
 
 
 def prefix_table(x):
@@ -526,6 +527,39 @@ def test_gate_is_input_times_mean_of_broadcast_maps():
     assert np.allclose(out.data, x * (maps[0] + maps[1]) / 2, atol=1e-15)
 
 
+GATE_SKIP_SETS = {"regional": (("regional", 1), ("regional", 2), ("regional", 3)),
+                  "sliding": (("sliding", 1), ("sliding", 2)),
+                  "mixed": (("regional", 2), ("sliding", 1), ("regional", 3))}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale_set", sorted(GATE_SKIP_SETS))
+def test_gate_with_skip_is_bitwise_relu_of_add(scale_set, dtype):
+    # relu(x * mean + skip) in the product's buffer: output and the
+    # gradients of x, the skip and every scale's gates are the bits of
+    # relu(add(gate(...), skip)), the residual tail it replaces
+    rng = np.random.default_rng(36)
+    specs = [CoordinateSetSpec(strategy, k, 7, 5) for strategy, k in GATE_SKIP_SETS[scale_set]]
+    shape = (2, 3, 5, 7)
+    x = rng.standard_normal(shape).astype(dtype)
+    skip = rng.standard_normal(shape).astype(dtype)
+    vs = [rng.uniform(0.1, 0.9, (2, s.vector_count, 3) if s.strategy == "regional" else shape)
+          .astype(dtype) for s in specs]
+    probe = Tensor(rng.standard_normal(shape), dtype=dtype)
+    results = []
+    for fused in (True, False):
+        tx, ts, tvs = Tensor(x), Tensor(skip), [Tensor(v) for v in vs]
+        with Tape() as tape:
+            out = gate(tx, tvs, specs, skip=ts) if fused else \
+                relu(add(gate(tx, tvs, specs), ts))
+            loss = sum_all(mul(out, probe))
+        backward(tape, loss)
+        results.append([out.data, tx.grad, ts.grad] + [t.grad for t in tvs])
+    for got, want in zip(*results):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+
+
 def test_gate_gradients_both_strategies():
     rng = np.random.default_rng(32)
     # a sliding scale's gate is its whole (N, D, H, W) map
@@ -548,3 +582,5 @@ def test_gate_rejects_mismatched_vectors():
         gate(x, [], [])
     with pytest.raises(ValueError):                           # sliding vectors, not a map
         gate(x, [Tensor(np.zeros((1, 16, 3)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
+    with pytest.raises(ValueError):                           # skip of another shape
+        gate(x, [v], [spec], skip=Tensor(np.zeros((1, 3, 4, 2))))

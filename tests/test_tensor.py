@@ -470,6 +470,46 @@ def test_batch_norm_matches_oracle(shape, layout, training, dtype, tol):
             assert np.abs(a - b).max() <= tol * np.abs(b).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape, layout", BN_CASES)
+def test_batch_norm_relu_is_bitwise_relu_of_batch_norm(shape, layout, training, dtype):
+    # the fused relu runs in the norm's buffer and masks og before the same
+    # passes: output, the three gradients and the running statistics are
+    # the composed pair's bits, into an empty slot and into a filled one
+    x = _layout(np.random.default_rng(47).standard_normal(shape) * 2.0 + 0.5, layout)
+    for prior_grad in (False, True):
+        got = _run_batch_norm(lambda *a: batch_norm(*a, relu=True), x.astype(dtype),
+                              training, 48, prior_grad)
+        want = _run_batch_norm(lambda *a: relu(batch_norm(*a)), x.astype(dtype),
+                               training, 48, prior_grad)
+        assert (got[0] == 0).any() and (got[0] > 0).any()
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("same", [False, True], ids=["a+b", "x+x"])
+def test_add_relu_is_bitwise_relu_of_add(same, dtype):
+    rng = np.random.default_rng(49)
+    a = _channel_major(rng.standard_normal((3, 4, 5, 5))).astype(dtype)
+    b = a if same else rng.standard_normal(a.shape).astype(dtype)
+    probe = Tensor(rng.standard_normal(a.shape), dtype=dtype)
+    results = []
+    for op in (lambda s, t: add(s, t, relu=True), lambda s, t: relu(add(s, t))):
+        ta = Tensor(a)
+        tb = ta if same else Tensor(b)
+        with Tape() as tape:
+            out = op(ta, tb)
+            loss = sum_all(mul(out, probe))
+        backward(tape, loss)
+        results.append([out.data, ta.grad] + ([] if same else [tb.grad]))
+    for got, want in zip(*results):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+
+
 def test_batch_norm_float32_large_offset_keeps_precision():
     # mean 1e3, std 0.1: a one-pass E[x^2] - E[x]^2 would lose every digit
     # of the variance in float32.  The centred sums keep the running variance
@@ -824,6 +864,12 @@ def _slot_cases():
         ("max_pool2d", [x], lambda: max_pool2d(x, 3, 2, 1)),
         ("batch_norm-train", [x, gam, bet], lambda: batch_norm(x, gam, bet, st, True)),
         ("batch_norm-eval", [x, gam, bet], lambda: batch_norm(x, gam, bet, st, False)),
+        ("batch_norm-relu-train", [x, gam, bet],
+         lambda: batch_norm(x, gam, bet, st, True, relu=True)),
+        ("batch_norm-relu-eval", [x, gam, bet],
+         lambda: batch_norm(x, gam, bet, st, False, relu=True)),
+        ("add-relu", [x, y], lambda: add(x, y, relu=True)),
+        ("add-relu-self", [x], lambda: add(x, x, relu=True)),
         ("cross_entropy", [m], lambda: cross_entropy(m, labels)),
         ("regional-pool", [x], lambda: msar.pooling.coordinate_avg_pool(x, reg[1])),
         ("sliding-pool", [x], lambda: msar.pooling.coordinate_avg_pool(x, sld[0])),
@@ -832,6 +878,8 @@ def _slot_cases():
         ("broadcast-sliding", [vs[0]], lambda: msar.pooling.broadcast_weights(vs[0], sld[0])),
         ("gate-regional", [x] + vr, lambda: msar.pooling.gate(x, vr, reg)),
         ("gate-sliding", [x] + maps, lambda: msar.pooling.gate(x, maps, sld)),
+        ("gate-skip", [x, y, vr[1], maps[0]],
+         lambda: msar.pooling.gate(x, [vr[1], maps[0]], [reg[1], sld[0]], skip=y)),
         ("excite_map-train", [u, ew, egam, ebet],
          lambda: msar.pooling.excite_map(u, ew, egam, ebet, est, True, sld[0])),
         ("excite_map-eval", [u, ew, egam, ebet],
@@ -888,8 +936,9 @@ def _assert_slots_apart(loss, leaves):
             assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("name", ["add-self", "add", "concat", "concat-self", "reshape",
-                                  "gate-regional", "gate-sliding", "regional_pool",
+@pytest.mark.parametrize("name", ["add-self", "add", "add-relu", "add-relu-self", "concat",
+                                  "concat-self", "reshape", "gate-regional", "gate-sliding",
+                                  "gate-skip", "regional_pool",
                                   "excite_map-train", "excite_map-eval", "excite_map-gate"])
 def test_handed_over_slots_share_no_memory(name):
     _name, leaves, fn = next(c for c in SLOT_CASES if c[0] == name)
