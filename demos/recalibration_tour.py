@@ -11,9 +11,17 @@ scales run side by side and their gate maps are averaged.
 import numpy as np
 
 from msar import (MultiScaleConfig, MultiScaleRecalibration, RecalibrationParams,
-                  Tensor, broadcast_weights, se_reference)
+                  Tensor, regional_pool, se_reference)
 
 rng = np.random.default_rng(7)
+
+
+def paint(v, k, side=8):
+    """(N, K*K, D) cell values -> (N, D, side, side), each repeated over its cell."""
+    n, _, d = v.shape
+    cells = v.reshape(n, k, k, d).transpose(0, 3, 1, 2)
+    return cells.repeat(side // k, axis=2).repeat(side // k, axis=3)
+
 
 print("== single regional scale on an 8x8 map ==")
 site = MultiScaleRecalibration("site", MultiScaleConfig(scales=(2,)),
@@ -33,9 +41,10 @@ print("== multiple scales average their gate maps ==")
 multi = MultiScaleRecalibration("multi", MultiScaleConfig(scales=(1, 2, 4)),
                                 d_in=6, d_out=6, width=8, height=8,
                                 reduced=3, rng=rng)
-per_scale = [broadcast_weights(s.forward(x, training=False), s.spec)
-             for s in multi.scales]
-mean_map = sum(m.data for m in per_scale) / len(per_scale)
+means = regional_pool(x, [s.spec for s in multi.scales])
+per_scale = [paint(s.gates(m, training=False).data, s.spec.k)
+             for s, m in zip(multi.scales, means)]
+mean_map = sum(per_scale) / len(per_scale)
 combined = multi.forward(x, training=False)
 print(f"scales (1, 2, 4): max |combined - x * mean(per-scale maps)| = "
       f"{np.abs(combined.data - x.data * mean_map).max():.1e}")

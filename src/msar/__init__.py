@@ -11,8 +11,7 @@ from .tensor import (Tape, Tensor, backward, relu, sigmoid, conv2d, linear,
                      batch_norm, BNState, cross_entropy, global_avg_pool,
                      concat_channels)
 from .pooling import (CoordinateSetSpec, build_sat, rect_sum, coordinate_set,
-                      region_avg_pool, coordinate_avg_pool, regional_pool,
-                      broadcast_weights)
+                      region_avg_pool, regional_pool)
 from .recalibrate import (RecalibrationParams, MultiScaleConfig, se_reference,
                           ScaleRecalibration, MultiScaleRecalibration)
 from .blocks import (NetworkSpec, StageSpec, MsarSettings, build_network,

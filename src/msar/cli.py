@@ -20,12 +20,11 @@ from .config import (PRECISIONS, ExperimentConfig, parse_config, to_network_spec
 from .costs import report
 from .data import channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
-from .pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool,
-                      excite_map, gate, project_pool, regional_pool)
+from .pooling import CoordinateSetSpec, excite_map, gate, project_pool, regional_pool
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
-                     linear, max_pool2d, mul, relu, reshape, scale, sigmoid)
+                     linear, max_pool2d, mul, relu, reshape, sigmoid, sum_all)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
 
@@ -157,8 +156,6 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     rows.append(("add", lambda: add(a, b), [a, b]))
     c, d = t(2, 3, 4, 4), t(2, 3, 4, 4)
     rows.append(("mul", lambda: mul(c, d), [c, d]))
-    e = t(3, 5)
-    rows.append(("scale", lambda: scale(e, -1.7), [e]))
     f = t(2, 8)
     rows.append(("reshape", lambda: reshape(f, (2, 2, 2, 2)), [f]))
     g = t(2, 3, 4, 4)
@@ -193,21 +190,10 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     x9 = t(4, 7)
     y9 = rng.integers(0, 7, size=4)
     rows.append(("cross_entropy", lambda: cross_entropy(x9, y9), [x9]))
+    x10 = t(2, 3, 4, 4)
+    rows.append(("sum_all", lambda: sum_all(x10), [x10]))
 
     sl = CoordinateSetSpec("sliding", 2, 8, 8)
-    rg = CoordinateSetSpec("regional", 3, 8, 8)
-    x10 = t(2, 3, 8, 8)
-    rows.append(("coordinate_avg_pool[sliding]",
-                 lambda: coordinate_avg_pool(x10, sl), [x10]))
-    x11 = t(2, 3, 8, 8)
-    rows.append(("coordinate_avg_pool[regional]",
-                 lambda: coordinate_avg_pool(x11, rg), [x11]))
-    z1 = t(2, 64, 3)
-    rows.append(("broadcast_weights[sliding]",
-                 lambda: broadcast_weights(z1, sl), [z1]))
-    z2 = t(2, 9, 3)
-    rows.append(("broadcast_weights[regional]",
-                 lambda: broadcast_weights(z2, rg), [z2]))
 
     config = MultiScaleConfig(scales=cfg.msar_scales, strategy=cfg.msar_strategy)
     module = MultiScaleRecalibration("recal", config, d_in=6, d_out=6,

@@ -12,6 +12,7 @@ and serializer walk, is derived from those fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .blocks import (FAMILIES, STAGE_MODES, MsarSettings, NetworkSpec,
@@ -75,13 +76,14 @@ def _one_of(options):
 
 
 def _positive(v):
-    if v <= 0:
-        raise ValueError(f"must be positive, got {v}")
+    # the chained form also rejects nan, which compares false to everything
+    if not 0 < v < math.inf:
+        raise ValueError(f"must be positive and finite, got {v}")
 
 
 def _non_negative(v):
-    if v < 0:
-        raise ValueError(f"must be >= 0, got {v}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"must be finite and >= 0, got {v}")
 
 
 def _at_least_two(v):

@@ -6,13 +6,14 @@ position the square window of half-width floor(sqrt(W*H)/K) around it
 lattice into a KxK grid of cells whose positions all share one pooled
 vector.  A summed-area table (build_sat) gives the sum of any such
 rectangle in four lookups (rect_sum); the two, with coordinate_set, are
-the reference the pools are checked against.
+the reference the pools are checked against.  region_avg_pool pools one
+slice through the same kernels as the sites, for that check.
 
-Pooling a coordinate set and broadcasting onto it are adjoints over one
-cell layout: _cell_sums reduces each cell by a direct slice sum (each
-pixel is read once) and _gate_map broadcasts per-cell vectors back.  A
-regional mean is its cell sum divided by the cell size in the input's
-dtype, so a K=1 mean is bitwise a plain global average.
+Each strategy has one production path, and the per-scale path it
+replaced (one taped pool and one broadcast per scale, each regional cell
+summed by a slice sum of its own) is kept in tests/oracles.py as the
+oracle these ops are checked against.  A regional mean is its cell sum
+divided by the cell size in the input's dtype.
 
 A site's pooled sums are mh @ map @ mw.T over a C-contiguous (D, N, H, W)
 copy of the map (_band_sums, two GEMMs), with mh and mw the 0/1
@@ -28,10 +29,10 @@ membership of refinement cells.
 Backward gathers every scale's gradient onto the refinement cells and
 expands the total into the map's gradient once (_expand).  When the
 refinement is one cell (a lone K=1 scale) the sum is the direct global
-one, so that case stays bitwise.  The per-scale coordinate_avg_pool is
-the oracle these are checked against.  _expand writes its maps
-channel-major, (D, N, H, W) in memory, like the conv2d and batch_norm
-outputs they are multiplied with or added to.
+one, so a K=1 mean is bitwise a plain global average.  _gate_map
+broadcasts per-cell vectors back over the refinement, and _expand
+writes its maps channel-major, (D, N, H, W) in memory, like the conv2d
+and batch_norm outputs they are multiplied with or added to.
 
 Sliding band sums run on a copy of the map centred on its own mean, so
 float32 sums keep their precision.  The window band is symmetric, so the
@@ -221,37 +222,18 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
 
     Regional strategy: (K*K, D), one vector per cell, row-major cells.
     Sliding strategy: (H*W, D), one vector per position, row-major
-    positions, each the mean of its clipped window.
+    positions, each the mean of its clipped window.  Both run the band
+    sums the recalibration sites run, so checking this against
+    rect_sum checks the sites' kernel.
     """
     x = _unwrap(x)
     if x.ndim != 3 or x.shape[1] != spec.height or x.shape[2] != spec.width:
         raise ValueError(f"region_avg_pool: expected (D,{spec.height},{spec.width}), got {x.shape}")
-    pool = _cell_means if spec.strategy == "regional" else _sliding_box_means
-    means, _ = pool(x[None], spec)
+    if spec.strategy == "sliding":
+        means, _ = _sliding_box_means(x[None], spec)
+    else:
+        means = _scale_sums(x[None], [spec])[0] / _cell_sizes(spec, x.dtype)
     return means[0]
-
-
-# ---------------------------------------------------------------------------
-# differentiable batched pooling / upsampling
-# ---------------------------------------------------------------------------
-
-def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
-    """(N, D, H, W) -> (N, M, D) coordinate-set averages, M = spec.vector_count."""
-    height, width = x.shape[2:]
-    if height != spec.height or width != spec.width:
-        raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
-                         f"spec lattice {spec.height}x{spec.width}")
-    regional = spec.strategy == "regional"
-    y, sizes = (_cell_means if regional else _sliding_box_means)(x.data, spec)
-    out = Tensor(y)
-
-    def bwd(og):
-        if regional:
-            _accumulate(x, _gate_map([og / sizes], [spec], 1))
-        else:
-            _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(1, 0, 2, 3))
-
-    return _emit("coordinate_avg_pool", out, bwd)
 
 
 def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
@@ -283,11 +265,11 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     """(N, D, H, W) map and (r, D) weight -> (N, H*W, r) sliding means of w @ x.
 
     Both the box mean and the bias-free map w are linear, so this equals
-    linear(coordinate_avg_pool(x, spec), w) in exact arithmetic, but the
+    the sliding means of x mapped by w in exact arithmetic, but the
     window sums run over r channels instead of D.  The projection is one
     GEMM over x's (D, N*H*W) channel-major view, which is free for the
     outputs of conv2d, batch_norm and concat_channels.  Recorded on the
-    tape as coordinate_avg_pool.
+    tape under the pool name regional_pool's entries carry.
     """
     n, d, height, width = x.shape
     r = w.shape[0]
@@ -368,8 +350,8 @@ def _refined_sums(g: np.ndarray, rows, cols) -> np.ndarray:
 
     One pass over a (D, N, H, W) C-contiguous copy of g (a view when g
     is channel-major): the band sums of the cells' rows and columns
-    (_band_sums).  A refinement of one cell is g.sum(axis=(2, 3)), as
-    _cell_sums takes it.
+    (_band_sums).  A refinement of one cell is g.sum(axis=(2, 3)), so a
+    lone K=1 mean is bitwise a plain global average.
     """
     n, d, height, width = g.shape
     if len(rows) == 2 and len(cols) == 2:
@@ -403,14 +385,13 @@ def regional_pool(x: Tensor, specs) -> list:
 
     x is summed once over the cells of the specs' common refinement,
     and each spec's cell sums are taken from those (_scale_sums).
-    Backward gathers each scale's og / cell size
-    onto the refinement cells, sums that over the scales, and expands
-    the sum into x's gradient once.  Each output is a
-    coordinate_avg_pool entry on the tape, preceded by one entry for the
-    refinement cells, which collects their gradient and does the
-    expansion.  No closure reads the refinement sums, so that entry
-    holds a zero-stride stand-in of their shape, and the tape keeps only
-    the means, as a separate pool per scale would.
+    Backward gathers each scale's og / cell size onto the refinement
+    cells, sums that over the scales, and expands the sum into x's
+    gradient once.  Each output is a pool entry on the tape, preceded by
+    one more for the refinement cells, which collects their gradient and
+    does the expansion.  No closure reads the refinement sums, so that
+    entry holds a zero-stride stand-in of their shape, and the tape
+    keeps only the means, as a separate pool per scale would.
     """
     n, d, height, width = x.shape
     if not specs:
@@ -436,41 +417,6 @@ def regional_pool(x: Tensor, specs) -> list:
 
         outs.append(_emit("coordinate_avg_pool", Tensor(sums / sizes), gather))
     return outs
-
-
-def _cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
-    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D).
-
-    The result is a new array, never a view of g, so that it can become a
-    gradient slot of its own.  A regional cell is summed by one slice sum
-    of its own; the pooling oracle and broadcast_weights use this, the
-    sites _scale_sums.
-    """
-    n, d = g.shape[:2]
-    if spec.strategy == "sliding":
-        return g.transpose(0, 2, 3, 1).reshape(n, -1, d).copy()
-    he, we = _grid(spec)
-    return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
-                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])], axis=1)
-
-
-def _cell_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """(N, D, H, W) -> (N, K*K, D) cell means, and the cell sizes in x's dtype."""
-    sizes = _cell_sizes(spec, x.dtype)
-    return _cell_sums(x, spec) / sizes, sizes
-
-
-def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
-    """(N, M, D) pooled-position values -> (N, D, H, W) map by duplication."""
-    if z.shape[1] != spec.vector_count:
-        raise ValueError(f"broadcast_weights: {z.shape[1]} vectors but spec has "
-                         f"{spec.vector_count}")
-    out = Tensor(_gate_map([z.data], [spec], 1))
-
-    def bwd(og):
-        _accumulate(z, _cell_sums(og, spec))
-
-    return _emit("broadcast_weights", out, bwd)
 
 
 def excite_map(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,

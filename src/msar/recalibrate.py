@@ -29,6 +29,10 @@ A sliding window that covers the whole lattice from every position is
 the regional K=1 cell, and such a scale runs as that cell, so its
 bottleneck sees one row per image instead of H*W identical ones; the
 batch statistics agree because the variance is the biased one.
+
+The path this replaced, where each scale pools, runs its bottleneck and
+broadcasts its gates on its own, is kept in tests/oracles.py as the
+oracle a site is checked against.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import (STRATEGIES, CoordinateSetSpec, broadcast_weights, excite_map,
-                      gate, project_pool, regional_pool)
-from .tensor import (BNState, Tensor, batch_norm, global_avg_pool, linear, mul,
-                     reshape, sigmoid)
+from .pooling import (STRATEGIES, CoordinateSetSpec, excite_map, gate, project_pool,
+                      regional_pool)
+from .tensor import (BNState, Tensor, _accumulate, _emit, batch_norm, global_avg_pool,
+                     linear, reshape, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,20 @@ def _excite(z: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
 
 
 def se_reference(x: Tensor, params: RecalibrationParams, training: bool) -> Tensor:
-    """Squeeze-and-excitation gate: global average, bottleneck, channel scale."""
-    n, d, h, w = x.shape
+    """Squeeze-and-excitation gate: global average, bottleneck, channel scale.
+
+    The (N, D) gate vectors scale x by a numpy broadcast of their own, a
+    path apart from gate()'s cell expansion.  Recorded on the tape as mul.
+    """
     v = _bottleneck(global_avg_pool(x), params, training)
-    z = reshape(v, (n, 1, v.shape[1]))
-    gates = broadcast_weights(z, CoordinateSetSpec("regional", 1, w, h))
-    return mul(x, gates)
+    g = v.data.reshape(v.shape + (1, 1))
+    out = Tensor(x.data * g)
+
+    def bwd(og):
+        _accumulate(x, og * g)
+        _accumulate(v, (og * x.data).sum(axis=(2, 3)))
+
+    return _emit("mul", out, bwd)
 
 
 class ScaleRecalibration:
@@ -121,17 +133,10 @@ class ScaleRecalibration:
         self.spec = spec
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
-    def forward(self, pool_src: Tensor, training: bool) -> Tensor:
-        """Gates of this scale alone, in (0, 1), from an (N, d_in, H, W) source:
-        a regional scale's (N, M, d_out) vectors, row m for cell m, or a
-        sliding scale's (N, d_out, H, W) map, as gate() takes them."""
-        if self.spec.strategy == "sliding":
-            return self.gates(project_pool(pool_src, self.params.w1, self.spec), training)
-        means, = regional_pool(pool_src, [self.spec])
-        return self.gates(means, training)
-
     def gates(self, pooled: Tensor, training: bool) -> Tensor:
-        """This scale's gates (see forward) from its pooled (N, M, .) rows.
+        """This scale's gates, in (0, 1), from its pooled (N, M, .) rows: a
+        regional scale's (N, M, d_out) vectors, row m for cell m, or a
+        sliding scale's (N, d_out, H, W) map, as gate() takes them.
 
         A regional scale's rows are its d_in-wide cell means, which the
         bottleneck's first map reduces; a sliding scale's are already

@@ -208,15 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", out, bwd)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-
-    def bwd(og):
-        _accumulate(x, og * c)
-
-    return _emit("scale", out, bwd)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 

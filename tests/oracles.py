@@ -1,0 +1,93 @@
+"""The per-scale recalibration path, kept as the oracle of the ops the nets run.
+
+A net pools each site's regional scales with one pooling.regional_pool
+and its sliding scales with pooling.project_pool, then gates them with
+one pooling.gate.  The ops here are the path those replaced: one taped
+pool per scale (coordinate_avg_pool), each regional cell summed by a
+slice sum of its own (cell_sums), a taped broadcast of pooled vectors
+over their cells (broadcast_weights), a taped constant multiple
+(scale), and one scale's pool and bottleneck run on their own
+(scale_forward).  Tests compare the production ops against these, and
+check these against brute force and finite differences.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid,
+                          _sliding_box_adjoint, _sliding_box_means, project_pool,
+                          regional_pool)
+from msar.tensor import Tensor, _accumulate, _emit
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    out = Tensor(x.data * c)
+
+    def bwd(og):
+        _accumulate(x, og * c)
+
+    return _emit("scale", out, bwd)
+
+
+def cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
+    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D).
+
+    The result is a new array, never a view of g, so that it can become a
+    gradient slot of its own.  A regional cell is summed by one slice sum
+    of its own.
+    """
+    n, d = g.shape[:2]
+    if spec.strategy == "sliding":
+        return g.transpose(0, 2, 3, 1).reshape(n, -1, d).copy()
+    he, we = _grid(spec)
+    return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
+                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])], axis=1)
+
+
+def cell_means(x: np.ndarray, spec: CoordinateSetSpec):
+    """(N, D, H, W) -> (N, K*K, D) cell means, and the cell sizes in x's dtype."""
+    sizes = _cell_sizes(spec, x.dtype)
+    return cell_sums(x, spec) / sizes, sizes
+
+
+def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
+    """(N, D, H, W) -> (N, M, D) coordinate-set averages, M = spec.vector_count."""
+    height, width = x.shape[2:]
+    if height != spec.height or width != spec.width:
+        raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
+                         f"spec lattice {spec.height}x{spec.width}")
+    regional = spec.strategy == "regional"
+    y, sizes = (cell_means if regional else _sliding_box_means)(x.data, spec)
+    out = Tensor(y)
+
+    def bwd(og):
+        if regional:
+            _accumulate(x, _gate_map([og / sizes], [spec], 1))
+        else:
+            _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(1, 0, 2, 3))
+
+    return _emit("coordinate_avg_pool", out, bwd)
+
+
+def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
+    """(N, M, D) pooled-position values -> (N, D, H, W) map by duplication."""
+    if z.shape[1] != spec.vector_count:
+        raise ValueError(f"broadcast_weights: {z.shape[1]} vectors but spec has "
+                         f"{spec.vector_count}")
+    out = Tensor(_gate_map([z.data], [spec], 1))
+
+    def bwd(og):
+        _accumulate(z, cell_sums(og, spec))
+
+    return _emit("broadcast_weights", out, bwd)
+
+
+def scale_forward(s, pool_src: Tensor, training: bool) -> Tensor:
+    """Gates of one ScaleRecalibration alone, in (0, 1), from an (N, d_in, H, W)
+    source: a regional scale's (N, M, d_out) vectors, row m for cell m, or a
+    sliding scale's (N, d_out, H, W) map, as gate() takes them."""
+    if s.spec.strategy == "sliding":
+        return s.gates(project_pool(pool_src, s.params.w1, s.spec), training)
+    means, = regional_pool(pool_src, [s.spec])
+    return s.gates(means, training)

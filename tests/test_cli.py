@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, exit codes, and failure hygiene."""
 
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from msar.cli import main
+import msar.pooling
+import msar.tensor
+from msar.cli import _gradcheck_rows, main
+from msar.config import ExperimentConfig
 from msar.data import write_synthetic
 from msar.training import CURVE_HEADER
 
@@ -192,10 +196,23 @@ def test_gradcheck_all_rows_ok(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("operator")
     body = lines[1:]
-    assert len(body) >= 20
+    assert len(body) >= 24
     assert all(line.endswith("ok") for line in body)
     assert any("conv2d" in line for line in body)
     assert any("multi_scale_recalibration" in line for line in body)
+
+
+def test_gradcheck_has_a_row_for_every_taped_op():
+    # every public op in msar.tensor and msar.pooling that records a tape
+    # entry is finite-differenced by `msar gradcheck` (criterion 5)
+    rows = {name.split("[")[0] for name, _, _ in
+            _gradcheck_rows(ExperimentConfig(), np.random.default_rng(0))}
+    taped = {name for module in (msar.tensor, msar.pooling)
+             for name, fn in inspect.getmembers(module, inspect.isfunction)
+             if fn.__module__ == module.__name__ and not name.startswith("_")
+             and "_emit(" in inspect.getsource(fn)}
+    assert {"conv2d", "gate", "regional_pool"} <= taped
+    assert taped - rows == set()
 
 
 def test_gradcheck_honors_config_scales(tmp_path, capsys):

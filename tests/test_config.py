@@ -153,6 +153,16 @@ def test_float_values_survive_roundtrip_exactly():
     assert parse_config(text).optimizer_lr == cfg.optimizer_lr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["optimizer.lr", "optimizer.momentum",
+                                 "optimizer.weight_decay"])
+def test_float_keys_reject_non_finite_values(key, value):
+    # nan passes every <= / < comparison, and a nan config is not even
+    # equal to itself after a round trip
+    with pytest.raises(ValueError, match=f"line 2: {key}: .*finite"):
+        parse_config(f"run.seed = 1\n{key} = {value}\n")
+
+
 SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
 
 

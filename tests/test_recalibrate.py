@@ -8,13 +8,13 @@ import pytest
 from msar.blocks import MsarSettings, build_network, resnet_cifar
 from msar.costs import report
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.pooling import (CoordinateSetSpec, broadcast_weights, coordinate_avg_pool,
-                          coordinate_set, excite_map, gate, project_pool)
+from msar.pooling import CoordinateSetSpec, coordinate_set, excite_map, gate, project_pool
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
                               RecalibrationParams, ScaleRecalibration,
                               _bottleneck, _excite, se_reference)
 from msar.tensor import (BNState, Tape, Tensor, add, backward, batch_norm, cross_entropy,
-                         linear, mul, reshape, scale, sigmoid, sum_all)
+                         linear, mul, reshape, sigmoid, sum_all)
+from oracles import broadcast_weights, coordinate_avg_pool, scale, scale_forward
 
 
 def naive_recalibration(x, params, spec):
@@ -100,7 +100,7 @@ def chain_map(s, src, training):
 def scale_map(s, src, training):
     """One scale's gates on the lattice as a site forms them: a sliding
     scale's excite_map, or regional vectors painted by broadcast_weights."""
-    gates = s.forward(src, training)
+    gates = scale_forward(s, src, training)
     return gates if s.spec.strategy == "sliding" else broadcast_weights(gates, s.spec)
 
 
@@ -131,7 +131,7 @@ def test_gate_values_strictly_inside_unit_interval():
     rng = np.random.default_rng(32)
     spec = CoordinateSetSpec("regional", 2, 8, 8)
     x = rng.standard_normal((2, 6, 8, 8)) * 5
-    z = fresh_scale(spec, 6, 3, seed=5).forward(Tensor(x), training=True)
+    z = scale_forward(fresh_scale(spec, 6, 3, seed=5), Tensor(x), training=True)
     assert ((z.data > 0) & (z.data < 1)).all()
 
 
@@ -163,14 +163,14 @@ def test_multi_scale_average_composes_single_scales():
 def test_eval_mode_commutes_with_batch_permutation():
     rng = np.random.default_rng(35)
     spec = CoordinateSetSpec("regional", 2, 6, 6)
-    module = fresh_scale(spec, 4, 2, seed=3)
+    s = fresh_scale(spec, 4, 2, seed=3)
     # push some running stats through first
     warm = rng.standard_normal((8, 4, 6, 6))
-    module.forward(Tensor(warm), training=True)
+    scale_forward(s, Tensor(warm), training=True)
     x = rng.standard_normal((5, 4, 6, 6))
-    z = module.forward(Tensor(x), training=False)
+    z = scale_forward(s, Tensor(x), training=False)
     perm = rng.permutation(5)
-    zp = module.forward(Tensor(x[perm]), training=False)
+    zp = scale_forward(s, Tensor(x[perm]), training=False)
     assert np.allclose(zp.data, z.data[perm], atol=1e-12)
 
 
@@ -194,6 +194,26 @@ def test_global_single_scale_reduces_to_channel_attention():
 
 def _param_tensors(p):
     return [p.w1, p.g1, p.b1, p.w2, p.g2, p.b2]
+
+
+def test_se_reference_gradients_match_single_cell_site():
+    # se_reference broadcasts its vectors by itself, so its backward is a
+    # second path beside the site's gate and regional_pool
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((3, 4, 5, 6))
+    og = rng.standard_normal(x.shape)
+    grads = []
+    for site in (True, False):
+        module = MultiScaleRecalibration("m", MultiScaleConfig((1,)), 4, 4, 6, 5,
+                                         reduced=2, rng=np.random.default_rng(12))
+        p, xt = module.scales[0].params, Tensor(x)
+        with Tape() as tape:
+            out = module.forward(xt, training=True) if site else se_reference(xt, p, True)
+            loss = sum_all(mul(out, Tensor(og)))
+        backward(tape, loss)
+        grads.append([xt.grad] + [t.grad for t in _param_tensors(p)])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gradients_through_full_operator():
@@ -495,7 +515,7 @@ def test_constant_map_folds_to_beta():
                                      reduced=2, rng=np.random.default_rng(17))
     for s in module.scales:
         s.params.b2.data[...] = np.linspace(-1.0, 1.0, 4)
-        gates = s.forward(Tensor(np.zeros((3, 4, 8, 8))), training=True).data
+        gates = scale_forward(s, Tensor(np.zeros((3, 4, 8, 8))), training=True).data
         want = sigmoid(s.params.b2).data
         assert np.array_equal(gates, np.broadcast_to(want[:, None, None], gates.shape))
 
@@ -546,8 +566,8 @@ def test_whole_lattice_sliding_scale_is_the_k1_cell(width, height, collapsed):
 def test_collapsed_scale_bitwise_matches_regional_k1():
     x = np.random.default_rng(40).standard_normal((3, 4, 8, 8))
     for training in (True, False):
-        got, want = (fresh_scale(CoordinateSetSpec(strategy, 1, 8, 8), 4, 2, seed=3)
-                     .forward(Tensor(x), training).data
+        got, want = (scale_forward(fresh_scale(CoordinateSetSpec(strategy, 1, 8, 8), 4, 2,
+                                               seed=3), Tensor(x), training).data
                      for strategy in ("sliding", "regional"))
         assert got.shape == (3, 1, 4)
         assert got.tobytes() == want.tobytes()
@@ -585,7 +605,7 @@ def test_collapsed_k1_grads_track_long_double():
         src = rng.standard_normal((3, 6, 32, 32))
         og = rng.standard_normal((3, 1, 6))
         with Tape() as tape:
-            v = s.forward(Tensor(src), training=True)
+            v = scale_forward(s, Tensor(src), training=True)
             loss = sum_all(mul(v, Tensor(og)))
         backward(tape, loss)
         want = long_double_k1_reduce_grad(src, s.params, og[:, 0])
