@@ -17,9 +17,8 @@ rng = np.random.default_rng(7)
 
 
 def paint(v, k, side=8):
-    """(N, K*K, D) cell values -> (N, D, side, side), each repeated over its cell."""
-    n, _, d = v.shape
-    cells = v.reshape(n, k, k, d).transpose(0, 3, 1, 2)
+    """(N*K*K, D) cell rows -> (N, D, side, side), each repeated over its cell."""
+    cells = v.reshape(-1, k, k, v.shape[1]).transpose(0, 3, 1, 2)
     return cells.repeat(side // k, axis=2).repeat(side // k, axis=3)
 
 

@@ -24,7 +24,7 @@ from .pooling import CoordinateSetSpec, excite_map, gate, project_pool, regional
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
-                     linear, max_pool2d, mul, relu, reshape, sigmoid, sum_all)
+                     linear, max_pool2d, mul, relu, sigmoid, sum_all)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
 
@@ -156,8 +156,6 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     rows.append(("add", lambda: add(a, b), [a, b]))
     c, d = t(2, 3, 4, 4), t(2, 3, 4, 4)
     rows.append(("mul", lambda: mul(c, d), [c, d]))
-    f = t(2, 8)
-    rows.append(("reshape", lambda: reshape(f, (2, 2, 2, 2)), [f]))
     g = t(2, 3, 4, 4)
     rows.append(("relu", lambda: relu(g), [g]))
     h = t(2, 3, 4, 4)
@@ -206,7 +204,7 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     # cell edges of K=2 and K=3 on a 7x5 lattice do not nest
     gs = [CoordinateSetSpec("regional", k, 7, 5) for k in (2, 3)]
     x13 = t(2, 3, 5, 7)
-    vs = [t(2, s.vector_count, 3) for s in gs]
+    vs = [t(2 * s.vector_count, 3) for s in gs]
     rows.append(("gate", lambda: gate(x13, vs, gs), [x13] + vs))
 
     # the projection shortcut's shape: reads one of the four stride phases
@@ -238,7 +236,7 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     a19, b19 = t(2, 3, 4, 4), t(2, 3, 4, 4)
     rows.append(("add[relu]", lambda: add(a19, b19, relu=True), [a19, b19]))
     x20, s20 = t(2, 3, 5, 7), t(2, 3, 5, 7)
-    v20 = [t(2, s.vector_count, 3) for s in gs]
+    v20 = [t(2 * s.vector_count, 3) for s in gs]
     rows.append(("gate[skip]", lambda: gate(x20, v20, gs, skip=s20), [x20, s20] + v20))
     return rows
 

@@ -47,9 +47,13 @@ instead of D.  excite_map runs the bottleneck's last map, norm and
 logistic on those r-wide rows, taking the norm's moments from theirs,
 and writes the scale's gate map channel-major.
 
+Pooled vectors and regional gates pass between ops as (N*M, C) rows,
+row n*M + m for cell (or pixel) m of image n, the (rows, channels)
+layout of the bottleneck's linear and batch_norm.
+
 gate() multiplies a feature map by the mean over scales of per-scale
-gates: a regional scale's (N, M, D) vectors broadcast over its cells,
-a sliding scale's map as it is.  It is one taped op whose closure keeps
+gates: a regional scale's (N*M, D) rows broadcast over its cells, a
+sliding scale's map as it is.  It is one taped op whose closure keeps
 the input, the vectors and the maps: the full-size mean map is rebuilt
 in backward by adds instead of being kept, the regional vectors'
 gradients take one _scale_sums pass over og * x, and each sliding map
@@ -197,7 +201,7 @@ def _band_sums(a: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
 
 
 def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """(N, D, H, W) -> (N, H*W, D) clipped-window means, and the (H, W) window sizes.
+    """(N, D, H, W) -> (N*H*W, D) clipped-window means, and the (H, W) window sizes.
 
     The window sums run over one (D, N, H, W) copy of x centred on each
     map's own mean (taken on the copy, so x's layout does not matter),
@@ -214,7 +218,7 @@ def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
     means = np.empty((n, height, width, d), dtype=x.dtype)
     np.divide(_band_sums(centred, mh, mw).transpose(1, 3, 2, 0), sizes[..., None], out=means)
     means += mu.transpose(1, 2, 3, 0)
-    return means.reshape(n, height * width, d), sizes
+    return means.reshape(-1, d), sizes
 
 
 def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
@@ -230,25 +234,23 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] != spec.height or x.shape[2] != spec.width:
         raise ValueError(f"region_avg_pool: expected (D,{spec.height},{spec.width}), got {x.shape}")
     if spec.strategy == "sliding":
-        means, _ = _sliding_box_means(x[None], spec)
-    else:
-        means = _scale_sums(x[None], [spec])[0] / _cell_sizes(spec, x.dtype)
-    return means[0]
+        return _sliding_box_means(x[None], spec)[0]
+    return _scale_sums(x[None], [spec])[0][0] / _cell_sizes(spec, x.dtype)
 
 
 def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
-    """Adjoint of _sliding_box_means: (N, H*W, D) -> C-contiguous (D, N, H, W).
+    """Adjoint of _sliding_box_means: (N*H*W, D) -> C-contiguous (D, N, H, W).
 
     The window band is symmetric, so the adjoint is the same band sums
     over u = og/|S|, copied (D, N, W, H) so that they come back
     (D, N, H, W), and centred like the forward map; u's mean comes back
     as mu*|S|.
     """
-    n, _, d = og.shape
     height, width = sizes.shape
     r = int(spec.threshold)
-    u = np.empty((d, n, width, height), dtype=og.dtype)
-    np.divide(og.reshape(n, height, width, d).transpose(3, 0, 2, 1), sizes.T, out=u)
+    og = og.reshape(-1, height, width, og.shape[1]).transpose(3, 0, 2, 1)
+    u = np.empty(og.shape, dtype=og.dtype)
+    np.divide(og, sizes.T, out=u)
     mu = u.mean(axis=(2, 3), keepdims=True)
     u -= mu
     out = _band_sums(u, _band(width, r, og.dtype), _band(height, r, og.dtype))
@@ -262,7 +264,7 @@ def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
-    """(N, D, H, W) map and (r, D) weight -> (N, H*W, r) sliding means of w @ x.
+    """(N, D, H, W) map and (r, D) weight -> (N*H*W, r) sliding means of w @ x.
 
     Both the box mean and the bias-free map w are linear, so this equals
     the sliding means of x mapped by w in exact arithmetic, but the
@@ -328,7 +330,7 @@ def _expand(cells: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _gate_map(vs, specs, count) -> np.ndarray:
-    """(N, D, H, W) sum of (N, M_s, D) vectors broadcast over their cells, over count.
+    """(N, D, H, W) sum of (N*M_s, D) rows broadcast over their cells, over count.
 
     The scales are combined on the common refinement of their cell edges
     as (v_1 + v_2) + v_3 ..., then scaled by 1/count, so each position sees
@@ -338,7 +340,8 @@ def _gate_map(vs, specs, count) -> np.ndarray:
     rows, cols = _refinement(specs)
     total = None
     for v, spec in zip(vs, specs):
-        part = v[:, _cell_index(spec, rows, cols), :]   # (N, J_h, J_w, D)
+        cells = v.reshape(-1, spec.vector_count, v.shape[1])
+        part = cells[:, _cell_index(spec, rows, cols), :]   # (N, J_h, J_w, D)
         total = part if total is None else total + part
     if count > 1:
         total = total * (1.0 / count)
@@ -381,7 +384,7 @@ def _scale_sums(g: np.ndarray, specs) -> list:
 
 
 def regional_pool(x: Tensor, specs) -> list:
-    """(N, D, H, W) -> each regional spec's (N, K*K, D) cell means, reading x once.
+    """(N, D, H, W) -> each regional spec's (N*K*K, D) cell means, reading x once.
 
     x is summed once over the cells of the specs' common refinement,
     and each spec's cell sums are taken from those (_scale_sums).
@@ -413,9 +416,9 @@ def regional_pool(x: Tensor, specs) -> list:
         sizes, index = _cell_sizes(spec, x.dtype), _cell_index(spec, rows, cols)
 
         def gather(og, sizes=sizes, index=index):
-            _accumulate(cells, (og / sizes)[:, index])
+            _accumulate(cells, (og.reshape(n, -1, d) / sizes)[:, index])
 
-        outs.append(_emit("coordinate_avg_pool", Tensor(sums / sizes), gather))
+        outs.append(_emit("coordinate_avg_pool", Tensor((sums / sizes).reshape(-1, d)), gather))
     return outs
 
 
@@ -493,8 +496,8 @@ def _mean_map(cells, maps, count) -> np.ndarray:
 def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     """x * mean_s gate_s as one op, or relu(x * mean_s gate_s + skip) with a skip.
 
-    A regional scale's gate is its (N, M_s, D) vectors broadcast over its
-    cells; a sliding scale's is its (N, D, H, W) map (excite_map).  Backward
+    A regional scale's gate is its (N*M_s, D) rows broadcast over its cells;
+    a sliding scale's is its (N, D, H, W) map (excite_map).  Backward
     gives the regional scales the cell sums of og * x / S (one _scale_sums
     pass) and each map og * x / S itself, then rebuilds the mean map by adds
     and gives x og * mean, formed in og's buffer.  A skip is added and the
@@ -506,6 +509,11 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
     cells = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
     maps = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
+    n, d, height, width = x.shape
+    for v, spec in cells:
+        if v.shape != (n * spec.vector_count, d) or (spec.height, spec.width) != (height, width):
+            raise ValueError(f"gate: regional {spec} on x {x.shape} takes "
+                             f"({n * spec.vector_count}, {d}) rows, got {v.shape}")
     if any(m.shape != x.shape for m in maps):
         raise ValueError(f"gate: a sliding scale's map does not match x {x.shape}")
     if skip is not None and skip.shape != x.shape:
@@ -526,7 +534,7 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
             g *= 1.0 / len(vs)
         if cells:
             for (v, _), sums in zip(cells, _scale_sums(g, [spec for _, spec in cells])):
-                _accumulate(v, sums)
+                _accumulate(v, sums.reshape(v.shape))
         for i, m in enumerate(maps):
             # each map's closure consumes its slot in place
             _accumulate(m, g.copy(order="K") if i else g)

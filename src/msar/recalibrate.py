@@ -3,13 +3,14 @@
 Each scale pools the feature map over its coordinate sets and pushes
 every pooled vector through a two-layer bottleneck (linear,
 normalization, ReLU, then linear, normalization, logistic), giving one
-gate vector per coordinate set.  A single gate op (pooling.gate) then
-multiplies the features by the mean over scales of those vectors,
-broadcast over their coordinate sets, so each position is recalibrated
-by context gathered at several spatial ranges; a regional scale keeps
-no full-size map for backward, and a sliding scale only its gate map.
-A single regional scale with
-one cell collapses to the classic squeeze-and-excitation channel gate;
+gate vector per coordinate set.  Both are (N*M, C) rows, row n*M + m
+for set m of image n, the layout every bottleneck op takes.  A single
+gate op (pooling.gate) then multiplies the features by the mean over
+scales of those vectors, broadcast over their coordinate sets, so each
+position is recalibrated by context gathered at several spatial
+ranges; a regional scale keeps no full-size map for backward, and a
+sliding scale only its gate map.  A single regional scale with one cell
+collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 
 A site's regional scales pool together: one pooling.regional_pool
@@ -44,7 +45,7 @@ import numpy as np
 from .pooling import (STRATEGIES, CoordinateSetSpec, excite_map, gate, project_pool,
                       regional_pool)
 from .tensor import (BNState, Tensor, _accumulate, _emit, batch_norm, global_avg_pool,
-                     linear, reshape, sigmoid)
+                     linear, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,10 @@ class RecalibrationParams:
         self.n2 = BNState(d_out, dtype=dtype)
 
 
-def _bottleneck(flat: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
-    return _excite(linear(flat, p.w1), p, training)
-
-
-def _excite(z: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
-    """The bottleneck after its first map: normalization, ReLU, expand, normalization, logistic."""
-    u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
+def _bottleneck(rows: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
+    """(rows, d_in) -> (rows, d_out) gates: reduce, normalization, ReLU, expand,
+    normalization, logistic."""
+    u = batch_norm(linear(rows, p.w1), p.g1, p.b1, p.n1, training, relu=True)
     return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
 
 
@@ -134,22 +132,20 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def gates(self, pooled: Tensor, training: bool) -> Tensor:
-        """This scale's gates, in (0, 1), from its pooled (N, M, .) rows: a
-        regional scale's (N, M, d_out) vectors, row m for cell m, or a
-        sliding scale's (N, d_out, H, W) map, as gate() takes them.
+        """This scale's gates, in (0, 1), from its pooled (N*M, .) rows, row
+        n*M + m for cell (or pixel) m of image n: a regional scale's
+        (N*M, d_out) rows, or a sliding scale's (N, d_out, H, W) map, as
+        gate() takes them.
 
         A regional scale's rows are its d_in-wide cell means, which the
         bottleneck's first map reduces; a sliding scale's are already
         reduced (project_pool), and excite_map maps them onto the lattice.
         """
         p = self.params
-        n, m, width = pooled.shape
-        z = reshape(pooled, (n * m, width))
         if self.spec.strategy == "sliding":
-            u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
+            u = batch_norm(pooled, p.g1, p.b1, p.n1, training, relu=True)
             return excite_map(u, p.w2, p.g2, p.b2, p.n2, training, self.spec)
-        v = _excite(linear(z, p.w1), p, training)
-        return reshape(v, (n, m, v.shape[1]))
+        return _bottleneck(pooled, p, training)
 
     def parameters(self):
         p = self.params

@@ -208,15 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", out, bwd)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-
-    def bwd(og):
-        _accumulate(x, og.reshape(x.shape))
-
-    return _emit("reshape", out, bwd)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the channel axis (axis 1).
 

@@ -7,8 +7,10 @@ pool per scale (coordinate_avg_pool), each regional cell summed by a
 slice sum of its own (cell_sums), a taped broadcast of pooled vectors
 over their cells (broadcast_weights), a taped constant multiple
 (scale), and one scale's pool and bottleneck run on their own
-(scale_forward).  Tests compare the production ops against these, and
-check these against brute force and finite differences.
+(scale_forward).  Pooled vectors travel as the production ops pass them,
+(N*M, D) rows with row n*M + m for cell (or pixel) m of image n.  Tests
+compare the production ops against these, and check these against brute
+force and finite differences.
 """
 
 from __future__ import annotations
@@ -31,28 +33,29 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
-    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N, M, D).
+    """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N*M, D) rows.
 
     The result is a new array, never a view of g, so that it can become a
     gradient slot of its own.  A regional cell is summed by one slice sum
     of its own.
     """
-    n, d = g.shape[:2]
+    d = g.shape[1]
     if spec.strategy == "sliding":
-        return g.transpose(0, 2, 3, 1).reshape(n, -1, d).copy()
+        return g.transpose(0, 2, 3, 1).reshape(-1, d).copy()
     he, we = _grid(spec)
     return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
-                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])], axis=1)
+                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])],
+                    axis=1).reshape(-1, d)
 
 
 def cell_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """(N, D, H, W) -> (N, K*K, D) cell means, and the cell sizes in x's dtype."""
-    sizes = _cell_sizes(spec, x.dtype)
+    """(N, D, H, W) -> (N*K*K, D) cell means, and each row's cell size in x's dtype."""
+    sizes = np.tile(_cell_sizes(spec, x.dtype), (x.shape[0], 1))
     return cell_sums(x, spec) / sizes, sizes
 
 
 def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
-    """(N, D, H, W) -> (N, M, D) coordinate-set averages, M = spec.vector_count."""
+    """(N, D, H, W) -> (N*M, D) coordinate-set averages, M = spec.vector_count."""
     height, width = x.shape[2:]
     if height != spec.height or width != spec.width:
         raise ValueError(f"coordinate_avg_pool: map {height}x{width} does not match "
@@ -71,10 +74,10 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
 
 def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
-    """(N, M, D) pooled-position values -> (N, D, H, W) map by duplication."""
-    if z.shape[1] != spec.vector_count:
-        raise ValueError(f"broadcast_weights: {z.shape[1]} vectors but spec has "
-                         f"{spec.vector_count}")
+    """(N*M, D) pooled-position rows -> (N, D, H, W) map by duplication."""
+    if z.ndim != 2 or z.shape[0] % spec.vector_count:
+        raise ValueError(f"broadcast_weights: {z.shape} rows but spec has "
+                         f"{spec.vector_count} vectors per image")
     out = Tensor(_gate_map([z.data], [spec], 1))
 
     def bwd(og):
@@ -85,8 +88,8 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
 def scale_forward(s, pool_src: Tensor, training: bool) -> Tensor:
     """Gates of one ScaleRecalibration alone, in (0, 1), from an (N, d_in, H, W)
-    source: a regional scale's (N, M, d_out) vectors, row m for cell m, or a
-    sliding scale's (N, d_out, H, W) map, as gate() takes them."""
+    source: a regional scale's (N*M, d_out) rows, row n*M + m for cell m of
+    image n, or a sliding scale's (N, d_out, H, W) map, as gate() takes them."""
     if s.spec.strategy == "sliding":
         return s.gates(project_pool(pool_src, s.params.w1, s.spec), training)
     means, = regional_pool(pool_src, [s.spec])

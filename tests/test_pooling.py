@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import (CoordinateSetSpec, build_sat, coordinate_set, excite_map, gate,
                           project_pool, rect_sum, region_avg_pool, regional_pool)
-from msar.tensor import (BNState, Tape, Tensor, add, backward, linear, mul, relu, reshape,
+from msar.tensor import (BNState, Tape, Tensor, add, backward, linear, mul, relu,
                          sum_all)
 from oracles import broadcast_weights, coordinate_avg_pool
 
@@ -159,10 +159,10 @@ def test_batched_pool_matches_per_sample():
     x = rng.standard_normal((3, 4, 6, 6))
     for spec in (CoordinateSetSpec("regional", 3, 6, 6),
                  CoordinateSetSpec("sliding", 2, 6, 6)):
-        out = coordinate_avg_pool(Tensor(x), spec)
+        out = coordinate_avg_pool(Tensor(x), spec).data.reshape(3, spec.vector_count, 4)
         for b in range(3):
             single = region_avg_pool(x[b], spec)
-            assert np.allclose(out.data[b], single, atol=1e-12)
+            assert np.allclose(out[b], single, atol=1e-12)
 
 
 def slice_pool(x, og, spec):
@@ -191,7 +191,7 @@ def test_regional_pool_bitwise_matches_slice_oracle(dtype, height, width, scales
         with Tape() as tape:
             out = coordinate_avg_pool(x, spec)
         (_, _, bwd), = tape._entries
-        bwd(og)
+        bwd(og.reshape(-1, 4))
         want_y, want_grad = slice_pool(x.data, og, spec)
         assert out.dtype == x.grad.dtype == dtype
         assert out.data.tobytes() == want_y.tobytes(), k
@@ -213,13 +213,13 @@ def test_region_avg_pool_is_bitwise_the_sites_pool(dtype, height, width, k):
     rng = np.random.default_rng(height * 100 + width * 10 + k)
     x = (rng.standard_normal((5, height, width)) + 2.0).astype(dtype)
     got = region_avg_pool(Tensor(x), spec)
-    want = regional_pool(Tensor(x[None]), [spec])[0].data[0]
+    want = regional_pool(Tensor(x[None]), [spec])[0].data
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
 
 def pooled_with_grad(pool, x, ogs):
-    """pool's (N, M_s, D) outputs for x, and x.grad when output s gets og s."""
+    """pool's (N*M_s, D) outputs for x, and x.grad when output s gets og s."""
     x = Tensor(x)
     with Tape() as tape:
         ys = pool(x)
@@ -256,7 +256,7 @@ def test_regional_pool_matches_per_scale_oracle(site, channel_major):
     x = rng.standard_normal((3, 4, height, width)) + 2.0
     if channel_major:
         x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    ogs = [rng.standard_normal((3, s.vector_count, 4)) for s in specs]
+    ogs = [rng.standard_normal((3 * s.vector_count, 4)) for s in specs]
     for dtype, bound in ((np.float64, 1e-12), (np.float32, FLOAT32_SITE_BOUND)):
         xd, ogd = x.astype(dtype), [og.astype(dtype) for og in ogs]
         got = pooled_with_grad(lambda t: regional_pool(t, specs), xd, ogd)
@@ -275,8 +275,8 @@ def test_regional_site_float32_tracks_float64_at_workload_lattice():
     specs = [CoordinateSetSpec("regional", k, 32, 32) for k in (1, 2, 4)]
     rng = np.random.default_rng(36)
     x = (rng.standard_normal((32, 48, 32, 32)) + 3.0).astype(np.float32)
-    vs = [rng.standard_normal((32, s.vector_count, 48)).astype(np.float32) for s in specs]
-    ogs = [rng.standard_normal((32, s.vector_count, 48)).astype(np.float32) for s in specs]
+    vs = [rng.standard_normal((32 * s.vector_count, 48)).astype(np.float32) for s in specs]
+    ogs = [rng.standard_normal((32 * s.vector_count, 48)).astype(np.float32) for s in specs]
     og = rng.standard_normal(x.shape).astype(np.float32)
     got = []
     for dtype in (np.float32, np.float64):
@@ -313,7 +313,7 @@ def test_region_avg_pool_records_nothing():
 
 def test_broadcast_weights_regional_fills_cells():
     spec = CoordinateSetSpec("regional", 2, 4, 4)
-    z = np.arange(8, dtype=float).reshape(1, 4, 2)
+    z = np.arange(8, dtype=float).reshape(4, 2)
     out = broadcast_weights(Tensor(z), spec)
     assert out.shape == (1, 2, 4, 4)
     # channel 0 takes values 0, 2, 4, 6 over the four quadrants
@@ -326,7 +326,7 @@ def test_broadcast_weights_regional_fills_cells():
 def test_broadcast_weights_sliding_is_reshape():
     rng = np.random.default_rng(27)
     spec = CoordinateSetSpec("sliding", 2, 4, 4)
-    z = rng.standard_normal((2, 16, 3))
+    z = rng.standard_normal((2 * 16, 3))
     out = broadcast_weights(Tensor(z), spec)
     want = z.reshape(2, 4, 4, 3).transpose(0, 3, 1, 2)
     assert np.allclose(out.data, want, atol=1e-12)
@@ -339,7 +339,7 @@ def test_pooling_gradients_both_strategies():
                  CoordinateSetSpec("sliding", 4, 8, 8)):
         x = Tensor(rng.standard_normal((2, 3, 8, 8)))
         assert check_gradients(lambda: coordinate_avg_pool(x, spec), [x], rng) < TOLERANCE
-        z = Tensor(rng.standard_normal((2, spec.vector_count, 3)))
+        z = Tensor(rng.standard_normal((2 * spec.vector_count, 3)))
         assert check_gradients(lambda: broadcast_weights(z, spec), [z], rng) < TOLERANCE
 
 
@@ -376,17 +376,18 @@ def sat_box_means(x, spec):
 
 
 def sat_pool(x, og, spec):
-    """The summed-area pool's (N, H*W, D) forward and its x.grad for og."""
+    """The summed-area pool's (N*H*W, D) forward and its x.grad for og."""
     n, d, height, width = x.shape
     means, counts = sat_box_means(x, spec)
     u = og.reshape(n, height, width, d).transpose(0, 3, 1, 2) / counts
-    return (means.transpose(0, 2, 3, 1).reshape(n, height * width, d),
+    return (means.transpose(0, 2, 3, 1).reshape(-1, d),
             sat_box_means(u, spec)[0] * counts)
 
 
 def window_pool(x, og, spec):
     """Each position's clipped window sliced out and averaged, and its x.grad for og."""
     n, d, height, width = x.shape
+    og = og.reshape(n, height * width, d)
     y = np.empty((n, height * width, d))
     grad = np.zeros_like(x)
     for p in range(height):
@@ -394,7 +395,7 @@ def window_pool(x, og, spec):
             (h1, h2, w1, w2), size = coordinate_set(spec, q, p)
             y[:, p * width + q] = x[:, :, h1:h2 + 1, w1:w2 + 1].mean(axis=(2, 3))
             grad[:, :, h1:h2 + 1, w1:w2 + 1] += (og[:, p * width + q] / size)[:, :, None, None]
-    return y, grad
+    return y.reshape(-1, d), grad
 
 
 SLIDING_CASES = [(7, 5, 2), (11, 9, 3), (6, 13, 4), (32, 32, 1), (32, 32, 2), (32, 32, 4),
@@ -408,7 +409,7 @@ def test_sliding_pool_matches_summed_area_and_window_oracles(height, width, k):
     spec = CoordinateSetSpec("sliding", k, width, height)
     rng = np.random.default_rng(height * 100 + width * 10 + k)
     x = Tensor(rng.standard_normal((2, 3, height, width)) + 2.0)
-    og = rng.standard_normal((2, height * width, 3))
+    og = rng.standard_normal((2 * height * width, 3))
     with Tape() as tape:
         out = coordinate_avg_pool(x, spec)
     (_, _, bwd), = tape._entries
@@ -417,7 +418,7 @@ def test_sliding_pool_matches_summed_area_and_window_oracles(height, width, k):
         assert np.abs(out.data - want_y).max() <= 1e-12
         assert np.abs(x.grad - want_grad).max() <= 1e-12
     single = region_avg_pool(x.data[1], spec)
-    assert np.abs(single - out.data[1]).max() <= 1e-12
+    assert np.abs(single - out.data.reshape(2, -1, 3)[1]).max() <= 1e-12
     # adjoint identity <pool(x), og> = <x, pool^T(og)>
     lhs, rhs = np.vdot(out.data, og), np.vdot(x.data, x.grad)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -430,7 +431,7 @@ def test_sliding_float32_box_means_track_float64():
     rng = np.random.default_rng(30)
     x32 = (rng.standard_normal((2, 4, 112, 112)) + 3.0).astype(np.float32)
     # the backward window sums run over og / size uncentred, so give og an offset too
-    og32 = (rng.standard_normal((2, 112 * 112, 4)) + 3.0).astype(np.float32)
+    og32 = (rng.standard_normal((2 * 112 * 112, 4)) + 3.0).astype(np.float32)
     outs, grads = [], []
     for dtype in (np.float32, np.float64):
         x = Tensor(x32.astype(dtype))
@@ -449,9 +450,7 @@ def project_pool_run(x, w, spec, og, pool_first=False):
     x, w = Tensor(x), Tensor(w)
     with Tape() as tape:
         if pool_first:
-            y = coordinate_avg_pool(x, spec)
-            n, m, d = y.shape
-            out = reshape(linear(reshape(y, (n * m, d)), w), (n, m, w.shape[0]))
+            out = linear(coordinate_avg_pool(x, spec), w)
         else:
             out = project_pool(x, w, spec)
         loss = sum_all(mul(out, Tensor(og)))
@@ -469,7 +468,7 @@ def test_project_pool_is_linear_of_pooled(height, width, k, layout):
     if layout == "channel-major":
         x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     w = rng.standard_normal((2, 5))
-    og = rng.standard_normal((3, height * width, 2))
+    og = rng.standard_normal((3 * height * width, 2))
     got = project_pool_run(x, w, spec, og)
     want = project_pool_run(x, w, spec, og, pool_first=True)
     for a, b in zip(got, want):
@@ -486,7 +485,7 @@ def test_project_pool_float32_tracks_float64(side, k):
     rng = np.random.default_rng(33)
     x = rng.standard_normal((2, 6, side, side)) + 3.0
     w = rng.standard_normal((2, 6))
-    og = rng.standard_normal((2, side * side, 2)) + 3.0
+    og = rng.standard_normal((2 * side * side, 2)) + 3.0
     f32 = [a.astype(np.float32) for a in (x, w, og)]
     got = project_pool_run(f32[0], f32[1], spec, f32[2])
     want = project_pool_run(x, w, spec, og)
@@ -539,7 +538,7 @@ def test_gate_is_input_times_mean_of_broadcast_maps():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((2, 3, 5, 7))
     specs = [CoordinateSetSpec("regional", k, 7, 5) for k in (2, 3)]
-    vs = [rng.standard_normal((2, s.vector_count, 3)) for s in specs]
+    vs = [rng.standard_normal((2 * s.vector_count, 3)) for s in specs]
     maps = [broadcast_weights(Tensor(v), s).data for v, s in zip(vs, specs)]
     out = gate(Tensor(x), [Tensor(v) for v in vs], specs)
     assert np.allclose(out.data, x * (maps[0] + maps[1]) / 2, atol=1e-15)
@@ -561,7 +560,7 @@ def test_gate_with_skip_is_bitwise_relu_of_add(scale_set, dtype):
     shape = (2, 3, 5, 7)
     x = rng.standard_normal(shape).astype(dtype)
     skip = rng.standard_normal(shape).astype(dtype)
-    vs = [rng.uniform(0.1, 0.9, (2, s.vector_count, 3) if s.strategy == "regional" else shape)
+    vs = [rng.uniform(0.1, 0.9, (2 * s.vector_count, 3) if s.strategy == "regional" else shape)
           .astype(dtype) for s in specs]
     probe = Tensor(rng.standard_normal(shape), dtype=dtype)
     results = []
@@ -584,21 +583,38 @@ def test_gate_gradients_both_strategies():
     for strategy, scales in (("regional", (2, 3)), ("sliding", (1, 2))):
         specs = [CoordinateSetSpec(strategy, k, 7, 5) for k in scales]
         x = Tensor(rng.standard_normal((2, 3, 5, 7)))
-        vs = [Tensor(rng.standard_normal((2, s.vector_count, 3) if strategy == "regional"
+        vs = [Tensor(rng.standard_normal((2 * s.vector_count, 3) if strategy == "regional"
                                          else x.shape)) for s in specs]
         err = check_gradients(lambda: gate(x, vs, specs), [x] + vs, rng)
         assert err < TOLERANCE
 
 
+@pytest.mark.parametrize("shape", [(10, 3), (18, 3), (8, 4), (4, 3), (16, 3), (2, 4, 3)],
+                         ids=["5-cells", "9-cells", "width-4", "batch-1", "batch-4",
+                              "per-image-blocks"])
+def test_gate_rejects_regional_gates_of_another_shape(shape):
+    # a K=2 scale on a 4x4 map at batch 2 takes (2 * 4, 3) rows, nothing else
+    spec = CoordinateSetSpec("regional", 2, 4, 4)
+    x = Tensor(np.ones((2, 3, 4, 4)))
+    assert gate(x, [Tensor(np.full((8, 3), 0.5))], [spec]).shape == x.shape
+    with pytest.raises(ValueError, match="gate:"):
+        gate(x, [Tensor(np.full(shape, 0.5))], [spec])
+    with pytest.raises(ValueError, match="gate:"):
+        gate(x, [Tensor(np.full((8, 3), 0.5)), Tensor(np.full(shape, 0.5))],
+             [spec, CoordinateSetSpec("regional", 1, 4, 4)])
+
+
 def test_gate_rejects_mismatched_vectors():
     spec = CoordinateSetSpec("regional", 2, 4, 4)
     x = Tensor(np.zeros((1, 3, 4, 4)))
-    v = Tensor(np.zeros((1, 4, 3)))
+    v = Tensor(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         gate(x, [v, v], [spec])                               # 2 vector sets, 1 spec
     with pytest.raises(ValueError):
         gate(x, [], [])
+    with pytest.raises(ValueError, match="gate:"):            # rows of a scale on 8x8
+        gate(x, [v], [CoordinateSetSpec("regional", 2, 8, 8)])
     with pytest.raises(ValueError):                           # sliding vectors, not a map
-        gate(x, [Tensor(np.zeros((1, 16, 3)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
+        gate(x, [Tensor(np.zeros((16, 3)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
     with pytest.raises(ValueError):                           # skip of another shape
         gate(x, [v], [spec], skip=Tensor(np.zeros((1, 3, 4, 2))))

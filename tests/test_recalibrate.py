@@ -11,9 +11,9 @@ from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import CoordinateSetSpec, coordinate_set, excite_map, gate, project_pool
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
                               RecalibrationParams, ScaleRecalibration,
-                              _bottleneck, _excite, se_reference)
+                              _bottleneck, se_reference)
 from msar.tensor import (BNState, Tape, Tensor, add, backward, batch_norm, cross_entropy,
-                         linear, mul, reshape, sigmoid, sum_all)
+                         linear, mul, sigmoid, sum_all)
 from oracles import broadcast_weights, coordinate_avg_pool, scale, scale_forward
 
 
@@ -71,17 +71,15 @@ def fresh_scale(spec, d, reduced, seed):
 
 
 def chain_vectors(s, pooled, training):
-    """A scale's (N, M, d_out) gate vectors from its pooled rows, formed by the
+    """A scale's (N*M, d_out) gate rows from its pooled rows, formed by the
     whole bottleneck: a sliding scale's reduced rows go through the
     full-size (N*H*W, d_out) linear, batch_norm and sigmoid chain.  With
     broadcast_weights and gate this is the oracle of excite_map."""
     p = s.params
-    n, m, width = pooled.shape
-    z = reshape(pooled, (n * m, width))
     if s.spec.strategy == "regional":
-        z = linear(z, p.w1)
-    v = _excite(z, p, training)
-    return reshape(v, (n, m, v.shape[1]))
+        return _bottleneck(pooled, p, training)
+    u = batch_norm(pooled, p.g1, p.b1, p.n1, training, relu=True)
+    return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
 
 
 def per_scale_vectors(s, src, training):
@@ -171,7 +169,8 @@ def test_eval_mode_commutes_with_batch_permutation():
     z = scale_forward(s, Tensor(x), training=False)
     perm = rng.permutation(5)
     zp = scale_forward(s, Tensor(x[perm]), training=False)
-    assert np.allclose(zp.data, z.data[perm], atol=1e-12)
+    cells = z.data.reshape(5, spec.vector_count, -1)
+    assert np.allclose(zp.data.reshape(cells.shape), cells[perm], atol=1e-12)
 
 
 def test_global_single_scale_reduces_to_channel_attention():
@@ -427,6 +426,50 @@ def test_float32_sliding_network_stays_float32():
             assert t.grad is not None and t.grad.dtype == np.float32, (strategy, name)
 
 
+BOTTLENECK_OPS = ["linear", "batch_norm", "linear", "batch_norm", "sigmoid"]
+
+
+@pytest.mark.parametrize("strategy", ["regional", "sliding"])
+def test_site_records_pools_bottlenecks_and_one_gate(strategy):
+    # a (1, 2, 4) site on 8x8: regional_pool's refinement entry and one per
+    # regional scale, the sliding scales' project_pools, each scale's
+    # bottleneck on its rows, one gate; the K=1 sliding scale runs as the
+    # regional cell, and no op reshapes pooled rows or gates
+    module = MultiScaleRecalibration("m", MultiScaleConfig((1, 2, 4), strategy), 4, 4, 8, 8,
+                                     reduced=2, rng=np.random.default_rng(23))
+    x = Tensor(np.random.default_rng(24).standard_normal((2, 4, 8, 8)))
+    with Tape() as tape:
+        module.forward(x, training=True)
+    names = [name for name, _, _ in tape._entries]
+    if strategy == "regional":
+        want = ["coordinate_avg_pool"] * 4 + BOTTLENECK_OPS * 3 + ["gate"]
+    else:
+        want = (["coordinate_avg_pool"] * 2 + ["coordinate_avg_pool"] * 2 + BOTTLENECK_OPS
+                + ["batch_norm", "gate"] * 2 + ["gate"])
+    assert names == want
+    # pooled vectors and regional gates are (N*M, .) rows
+    pooled = [out.shape for name, out, _ in tape._entries if name == "coordinate_avg_pool"]
+    gates = [out.shape for name, out, _ in tape._entries if name == "sigmoid"]
+    if strategy == "regional":
+        assert pooled[1:] == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
+        assert gates == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
+    else:
+        assert pooled[1:] == [(2, 4), (2 * 64, 2), (2 * 64, 2)]
+        assert gates == [(2, 4)]
+
+
+@pytest.mark.parametrize("strategy, entries", [("regional", 223), ("sliding", 169)])
+def test_resnet20_msar_step_records_no_reshape(strategy, entries):
+    spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy=strategy))
+    net = build_network(spec, seed=25)
+    x = Tensor(np.random.default_rng(26).standard_normal((2, 3, 32, 32)))
+    with Tape() as tape:
+        cross_entropy(net.forward(x, training=True), np.array([1, 7]))
+    names = [name for name, _, _ in tape._entries]
+    assert "reshape" not in names
+    assert len(names) == entries
+
+
 # -- sliding sites project, then pool -----------------------------------------
 
 def pool_then_project(module, x, training, src):
@@ -437,10 +480,8 @@ def pool_then_project(module, x, training, src):
     specs = module.config.specs(x.shape[3], x.shape[2])
     vs = []
     for s, spec in zip(module.scales, specs):
-        y = coordinate_avg_pool(src, spec)
-        n, m, d = y.shape
-        v = _bottleneck(reshape(y, (n * m, d)), s.params, training)
-        vs.append(broadcast_weights(reshape(v, (n, m, v.shape[1])), spec))
+        v = _bottleneck(coordinate_avg_pool(src, spec), s.params, training)
+        vs.append(broadcast_weights(v, spec))
     return gate(x, vs, specs)
 
 
@@ -569,7 +610,7 @@ def test_collapsed_scale_bitwise_matches_regional_k1():
         got, want = (scale_forward(fresh_scale(CoordinateSetSpec(strategy, 1, 8, 8), 4, 2,
                                                seed=3), Tensor(x), training).data
                      for strategy in ("sliding", "regional"))
-        assert got.shape == (3, 1, 4)
+        assert got.shape == (3, 4)
         assert got.tobytes() == want.tobytes()
 
 
@@ -603,12 +644,12 @@ def test_collapsed_k1_grads_track_long_double():
     for seed in range(3):
         s = fresh_scale(CoordinateSetSpec("sliding", 1, 32, 32), 6, 2, seed=seed)
         src = rng.standard_normal((3, 6, 32, 32))
-        og = rng.standard_normal((3, 1, 6))
+        og = rng.standard_normal((3, 6))
         with Tape() as tape:
             v = scale_forward(s, Tensor(src), training=True)
             loss = sum_all(mul(v, Tensor(og)))
         backward(tape, loss)
-        want = long_double_k1_reduce_grad(src, s.params, og[:, 0])
+        want = long_double_k1_reduce_grad(src, s.params, og)
         got = s.params.w1.grad
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

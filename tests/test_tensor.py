@@ -15,7 +15,7 @@ from msar.pooling import CoordinateSetSpec, project_pool
 from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
                          backward, batch_norm, concat_channels, conv2d,
                          cross_entropy, global_avg_pool, linear, max_pool2d,
-                         mul, relu, reshape, sigmoid, sum_all)
+                         mul, relu, sigmoid, sum_all)
 
 
 def naive_conv2d(x, k, stride, pad):
@@ -715,7 +715,6 @@ def test_gradients_all_core_ops():
     assert check_gradients(lambda: add(x, y), [x, y], rng) < TOLERANCE
     assert check_gradients(lambda: mul(x, y), [x, y], rng) < TOLERANCE
     assert check_gradients(lambda: oracles.scale(x, -2.5), [x], rng) < TOLERANCE
-    assert check_gradients(lambda: reshape(x, (2, 48)), [x], rng) < TOLERANCE
     assert check_gradients(lambda: relu(x), [x], rng) < TOLERANCE
     assert check_gradients(lambda: sigmoid(x), [x], rng) < TOLERANCE
     assert check_gradients(lambda: concat_channels(x, y), [x, y], rng) < TOLERANCE
@@ -838,8 +837,8 @@ def _slot_cases():
     st = BNState(3)
     reg = [CoordinateSetSpec("regional", k, 6, 6) for k in (1, 2, 3)]
     sld = [CoordinateSetSpec("sliding", k, 6, 6) for k in (2, 4)]
-    vr = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in reg]
-    vs = [Tensor(rng.uniform(0.1, 0.9, (2, s.vector_count, 3))) for s in sld]
+    vr = [Tensor(rng.uniform(0.1, 0.9, (2 * s.vector_count, 3))) for s in reg]
+    vs = [Tensor(rng.uniform(0.1, 0.9, (2 * s.vector_count, 3))) for s in sld]
     maps = [Tensor(_channel_major(rng.uniform(0.1, 0.9, (2, 3, 6, 6)))) for _ in sld]
     pw = leaf(2, 3)
     u, ew, egam, ebet = leaf(72, 2), leaf(3, 2), Tensor(rng.uniform(0.5, 1.5, 3)), leaf(3)
@@ -852,7 +851,6 @@ def _slot_cases():
         ("mul", [x, y], lambda: mul(x, y)),
         ("mul-self", [x], lambda: mul(x, x)),
         ("scale", [x], lambda: oracles.scale(x, -1.5)),
-        ("reshape", [x], lambda: reshape(x, (6, 36))),
         ("concat", [x, y], lambda: concat_channels(x, y)),
         ("concat-self", [x], lambda: concat_channels(x, x)),
         ("sum_all", [x], lambda: sum_all(x)),
@@ -939,7 +937,7 @@ def _assert_slots_apart(loss, leaves):
 
 
 @pytest.mark.parametrize("name", ["add-self", "add", "add-relu", "add-relu-self", "concat",
-                                  "concat-self", "reshape", "gate-regional", "gate-sliding",
+                                  "concat-self", "gate-regional", "gate-sliding",
                                   "gate-skip", "regional_pool",
                                   "excite_map-train", "excite_map-eval", "excite_map-gate"])
 def test_handed_over_slots_share_no_memory(name):
