@@ -18,13 +18,13 @@ from .blocks import build_network
 from .config import (PRECISIONS, ExperimentConfig, parse_config, to_network_spec,
                      train_settings)
 from .costs import report
-from .data import channel_stats, load_records, normalize
+from .data import IMAGE_SHAPE, channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
-from .pooling import CoordinateSetSpec, excite_map, gate, project_pool, regional_pool
+from .pooling import CoordinateSetSpec, excite, gate, project_pool, regional_pool
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
                      concat_channels, conv2d, cross_entropy, global_avg_pool,
-                     linear, max_pool2d, mul, relu, sigmoid, sum_all)
+                     linear, max_pool2d, mul, relu, sum_all)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
 
@@ -83,10 +83,17 @@ def _check_labels(cfg: ExperimentConfig, labels: np.ndarray) -> None:
             f"label {top} is outside the {cfg.network_classes}-class network")
 
 
+def _check_input_size(spec) -> None:
+    if spec.input_size != IMAGE_SHAPE[-1]:
+        raise ValueError(f"network.input_size (or its preset) is {spec.input_size}, but "
+                         f"the records hold {IMAGE_SHAPE[-1]}x{IMAGE_SHAPE[-1]} images")
+
+
 def cmd_train(args) -> int:
     cfg = _read_config(args.config)
     _apply_overrides(cfg, args)
     spec = to_network_spec(cfg)
+    _check_input_size(spec)
     settings = train_settings(cfg)
     dtype = _dtype(cfg)
 
@@ -120,6 +127,7 @@ def cmd_eval(args) -> int:
     cfg = _read_config(args.config)
     _apply_overrides(cfg, args)
     spec = to_network_spec(cfg)
+    _check_input_size(spec)
     dtype = _dtype(cfg)
 
     # normalization statistics come from the training split by contract
@@ -158,8 +166,6 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     rows.append(("mul", lambda: mul(c, d), [c, d]))
     g = t(2, 3, 4, 4)
     rows.append(("relu", lambda: relu(g), [g]))
-    h = t(2, 3, 4, 4)
-    rows.append(("sigmoid", lambda: sigmoid(h), [h]))
 
     x1, w1, b1 = t(5, 6), t(4, 6), t(4)
     rows.append(("linear", lambda: linear(x1, w1, b1), [x1, w1, b1]))
@@ -218,8 +224,7 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
 
     u17, w17, g17, b17 = t(2 * 64, 2), t(3, 2), t(3), t(3)
     st17 = BNState(3)
-    rows.append(("excite_map",
-                 lambda: excite_map(u17, w17, g17, b17, st17, True, sl), [u17, w17, g17, b17]))
+    rows.append(("excite", lambda: excite(u17, w17, g17, b17, st17, True), [u17, w17, g17, b17]))
 
     # one pass for K = 1, 2, 3 on a 7x5 lattice, read back through the gate
     x16, g16 = t(2, 3, 5, 7), t(2, 3, 5, 7)

@@ -43,21 +43,21 @@ project_pool is the op a sliding recalibration scale runs first: it
 applies the bottleneck's first map w (r x D, no bias) to the map and
 then takes the sliding means, which equals pooling first and mapping
 after in exact arithmetic but runs the window sums over r channels
-instead of D.  excite_map runs the bottleneck's last map, norm and
-logistic on those r-wide rows, taking the norm's moments from theirs,
-and writes the scale's gate map channel-major.
+instead of D.  excite, every scale's bottleneck second half, runs the
+last map, norm and logistic on r-wide reduced rows, taking the norm's
+moments from theirs.
 
-Pooled vectors and regional gates pass between ops as (N*M, C) rows,
-row n*M + m for cell (or pixel) m of image n, the (rows, channels)
-layout of the bottleneck's linear and batch_norm.
+Pooled vectors and gates pass between ops as (N*M, C) rows, row
+n*M + m for cell (or pixel) m of image n, the (rows, channels) layout
+of the bottleneck's linear, batch_norm and excite.  excite writes its
+rows channel-major, so a sliding scale's are its (N, D, H, W) gate map.
 
 gate() multiplies a feature map by the mean over scales of per-scale
-gates: a regional scale's (N*M, D) rows broadcast over its cells, a
-sliding scale's map as it is.  It is one taped op whose closure keeps
-the input, the vectors and the maps: the full-size mean map is rebuilt
-in backward by adds instead of being kept, the regional vectors'
-gradients take one _scale_sums pass over og * x, and each sliding map
-takes og * x itself.
+gates: a regional scale's rows broadcast over its cells, a sliding
+scale's viewed as its map.  It is one taped op whose closure keeps the
+input and the rows: the full-size mean map is rebuilt in backward by
+adds instead of being kept, the regional rows' gradients take one
+_scale_sums pass over og * x, and each sliding scale's take og * x.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (BNState, Tensor, _accumulate, _channel_rows, _emit, _from_rows,
-                     _logistic)
+                     _logistic, _row_dots)
 
 STRATEGIES = ("sliding", "regional")
 
@@ -116,11 +116,11 @@ def _unwrap(x) -> np.ndarray:
 
 
 def build_sat(x) -> np.ndarray:
-    """Prefix-sum table of a D x H x W slice: T[d,h,w] = sum x[d,:h+1,:w+1]."""
+    """Float64 prefix-sum table of a D x H x W slice: T[d,h,w] = sum x[d,:h+1,:w+1]."""
     x = _unwrap(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("build_sat: input contains non-finite entries")
-    return np.cumsum(np.cumsum(x, axis=-2), axis=-1)
+    return np.cumsum(np.cumsum(x, axis=-2, dtype=np.float64), axis=-1)
 
 
 def rect_sum(sat: np.ndarray, d: int, h1: int, h2: int, w1: int, w2: int) -> float:
@@ -422,26 +422,29 @@ def regional_pool(x: Tensor, specs) -> list:
     return outs
 
 
-def excite_map(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool, spec: CoordinateSetSpec) -> Tensor:
-    """(N*H*W, r) reduced rows -> (N, D, H, W) gate map sigmoid(batch_norm(u @ w.T)).
+def excite(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
+           training: bool) -> Tensor:
+    """(rows, r) reduced rows -> (rows, D) gates sigmoid(batch_norm(u @ w.T)).
 
-    The norm's batch mean w @ mean(u) and variance diag(w cov(u) w.T) follow
-    from u's r-wide moments, so the map is one thin GEMM of the folded weight
-    w * gamma / std with u's centred rows, plus beta, written channel-major
-    (eval mode folds the running statistics).  Backward takes every gradient
-    from og * s * (1 - s) by row sums, two thin GEMMs and r x r terms.
-    Recorded on the tape as gate.
+    The norm's batch mean is w @ mean(u) and its variance |R w_i|^2 / rows,
+    R the triangular factor of a QR of u's centred rows (closer than
+    diag(w cov(u) w.T) for nearly degenerate rows).  The gates are one thin
+    GEMM of the folded weight w * gamma / std with those rows, plus beta
+    (eval mode folds the running statistics), stored (D, rows).  Backward
+    works from og * s * (1 - s) by row sums, thin GEMMs and r x r terms of
+    R.T R / rows.  Recorded on the tape as gate.
     """
     count, r = u.shape
-    if w.shape[1] != r or count % (spec.height * spec.width):
-        raise ValueError(f"excite_map: rows {u.shape} and weight {w.shape} on {spec}")
+    if w.shape[1] != r:
+        raise ValueError(f"excite: rows {u.shape} do not match weight {w.shape}")
     w2 = w.data
     if training:
         mu = u.data.mean(axis=0)
         rows = u.data - mu
-        cov = rows.T @ rows / count
-        mean, var = w2 @ mu, np.einsum("ij,ij->i", w2 @ cov, w2)
+        rt = np.linalg.qr(rows, mode="r").T             # (r, min(rows, r))
+        wr = w2 @ rt
+        mean, var = w2 @ mu, np.einsum("ij,ij->i", wr, wr) / count
+        cov = rt @ rt.T / count
         state.mean += state.momentum * (mean - state.mean)
         state.var += state.momentum * (var - state.var)
         base = np.zeros_like(mean)          # the pre-norm mean the centred rows carry
@@ -450,44 +453,50 @@ def excite_map(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState
     inv = 1.0 / np.sqrt(var + state.eps)
     a = gamma.data * inv
     fold = w2 * a[:, None]
-    s = _thin_matmul(fold, rows.T)                      # (D, N*H*W)
+    s = _thin_matmul(fold, rows.T)                      # (D, rows)
     del rows
     s += (beta.data - a * base)[:, None]
     _logistic(s, s)
-    n = count // (spec.height * spec.width)
-    out = Tensor(_from_rows(s, (n, w.shape[0], spec.height, spec.width)))
+    out = Tensor(s.T)
 
     def bwd(og):
-        dpre = _channel_rows(og)
-        dpre *= (1.0 - s) * s
+        dpre = 1.0 - s                                  # s's layout, whatever og's
+        dpre *= s
+        dpre *= og.T
         rows = u.data - mu
         dbeta = dpre.sum(axis=1)
         p = dpre @ rows                                 # (D, r)
         dgamma = (np.einsum("ij,ij->i", p, w2) - base * dbeta) * inv
-        du = dpre.T @ fold
         dw = p * a[:, None]
         if training:
-            # the batch moments' share: dx = a * (dpre - (dbeta + xhat * dgamma) / count)
-            k = dgamma * inv
-            du -= (rows @ (fold.T @ (w2 * k[:, None])) + fold.T @ dbeta) / count
-            dw -= (w2 @ cov) * (a * k)[:, None]
+            # the batch moments' share of dpre - (dbeta + zhat * dgamma) / count:
+            # dw's by r x r terms; dpre is centred, then projected off the pre-norm
+            # rows z by z's own moments, so var's rounding stays out of du
+            dw -= (w2 @ cov) * (a * (dgamma * inv))[:, None]
+            dpre -= (dbeta / count)[:, None]
+            z = _thin_matmul(w2, rows.T)                # (D, rows)
+            z *= (_row_dots(z, dpre) / (_row_dots(z, z) + count * state.eps))[:, None]
+            dpre -= z
+            del z
+        du = dpre.T @ fold
         for t, g in ((gamma, dgamma), (beta, dbeta), (w, dw), (u, du)):
             _accumulate(t, g)
 
     return _emit("gate", out, bwd)
 
 
-def _mean_map(cells, maps, count) -> np.ndarray:
+def _mean_map(cells, rows, count, shape) -> np.ndarray:
     """(N, D, H, W) sum over count of the regional (vectors, spec) cells
     broadcast by _gate_map (which averages them alone, bitwise as before)
-    and the sliding maps, a new array.
+    and the sliding scales' rows viewed as maps of `shape`, a new array.
     """
     vs, specs = [v.data for v, _ in cells], [spec for _, spec in cells]
-    if not maps:
+    if not rows:
         return _gate_map(vs, specs, count)
-    total = _gate_map(vs, specs, 1) if cells else np.zeros_like(maps[0].data)
+    maps = [_from_rows(v.data.T, shape) for v in rows]
+    total = _gate_map(vs, specs, 1) if cells else np.zeros_like(maps[0])
     for m in maps:
-        total += m.data
+        total += m
     if count > 1:
         total *= 1.0 / count
     return total
@@ -496,29 +505,28 @@ def _mean_map(cells, maps, count) -> np.ndarray:
 def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     """x * mean_s gate_s as one op, or relu(x * mean_s gate_s + skip) with a skip.
 
-    A regional scale's gate is its (N*M_s, D) rows broadcast over its cells;
-    a sliding scale's is its (N, D, H, W) map (excite_map).  Backward
-    gives the regional scales the cell sums of og * x / S (one _scale_sums
-    pass) and each map og * x / S itself, then rebuilds the mean map by adds
-    and gives x og * mean, formed in og's buffer.  A skip is added and the
-    relu taken in the product's buffer, so the tape keeps that one map for
-    a residual block's whole tail; backward masks og in place by out > 0
-    first and hands the skip a copy, as relu(add(gate(...), skip)) does.
+    Every scale's gates are (N*M_s, D) rows on x's lattice: a regional
+    scale's broadcast over its cells, a sliding scale's viewed as its map.
+    Backward gives the regional scales the cell sums of og * x / S (one
+    _scale_sums pass) and each sliding scale og * x / S itself, then
+    rebuilds the mean map by adds and gives x og * mean, formed in og's
+    buffer.  A skip is added and the relu taken in the product's buffer, so
+    the tape keeps that one map for a residual block's whole tail; backward
+    masks og in place by out > 0 first and hands the skip a copy, as
+    relu(add(gate(...), skip)) does.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
-    cells = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
-    maps = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
     n, d, height, width = x.shape
-    for v, spec in cells:
+    for v, spec in zip(vs, specs):
         if v.shape != (n * spec.vector_count, d) or (spec.height, spec.width) != (height, width):
-            raise ValueError(f"gate: regional {spec} on x {x.shape} takes "
+            raise ValueError(f"gate: {spec} on x {x.shape} takes "
                              f"({n * spec.vector_count}, {d}) rows, got {v.shape}")
-    if any(m.shape != x.shape for m in maps):
-        raise ValueError(f"gate: a sliding scale's map does not match x {x.shape}")
     if skip is not None and skip.shape != x.shape:
         raise ValueError(f"gate: skip {skip.shape} does not match x {x.shape}")
-    mean = _mean_map(cells, maps, len(vs))
+    cells = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
+    rows = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
+    mean = _mean_map(cells, rows, len(vs), x.shape)
     mean *= x.data
     if skip is not None:
         mean += skip.data
@@ -535,11 +543,12 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
         if cells:
             for (v, _), sums in zip(cells, _scale_sums(g, [spec for _, spec in cells])):
                 _accumulate(v, sums.reshape(v.shape))
-        for i, m in enumerate(maps):
-            # each map's closure consumes its slot in place
-            _accumulate(m, g.copy(order="K") if i else g)
-        del g
-        og *= _mean_map(cells, maps, len(vs))
+        grows = _channel_rows(g).T if rows else None
+        for i, v in enumerate(rows):
+            # a gradient slot is an array no other slot shares
+            _accumulate(v, grows.copy(order="K") if i else grows)
+        del g, grows
+        og *= _mean_map(cells, rows, len(vs), x.shape)
         _accumulate(x, og)
 
     return _emit("gate", out, bwd)

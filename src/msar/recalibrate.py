@@ -9,7 +9,7 @@ gate op (pooling.gate) then multiplies the features by the mean over
 scales of those vectors, broadcast over their coordinate sets, so each
 position is recalibrated by context gathered at several spatial
 ranges; a regional scale keeps no full-size map for backward, and a
-sliding scale only its gate map.  A single regional scale with one cell
+sliding scale only its gate rows.  A single regional scale with one cell
 collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 
@@ -22,10 +22,9 @@ A sliding scale has a pooled vector per position, and both the window
 mean and the bottleneck's first (bias-free) map are linear, so it
 projects first and pools after (pooling.project_pool): the windows then
 run over the bottleneck's few reduced channels instead of the input's.
-Its second half stays in that reduced space too: pooling.excite_map
-takes the expand norm's batch moments from the reduced rows' mean and
-covariance and writes the scale's gate map with one thin GEMM and the
-logistic, which gate() then uses as it is.
+Every scale's second half stays in the reduced space: one
+pooling.excite takes the expand norm's moments from the reduced rows
+and writes the gates with one thin GEMM and the logistic.
 A sliding window that covers the whole lattice from every position is
 the regional K=1 cell, and such a scale runs as that cell, so its
 bottleneck sees one row per image instead of H*W identical ones; the
@@ -42,10 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import (STRATEGIES, CoordinateSetSpec, excite_map, gate, project_pool,
-                      regional_pool)
-from .tensor import (BNState, Tensor, _accumulate, _emit, batch_norm, global_avg_pool,
-                     linear, sigmoid)
+from .pooling import STRATEGIES, CoordinateSetSpec, excite, gate, project_pool, regional_pool
+from .tensor import BNState, Tensor, _accumulate, _emit, batch_norm, global_avg_pool, linear
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,13 @@ class RecalibrationParams:
         self.n2 = BNState(d_out, dtype=dtype)
 
 
-def _bottleneck(rows: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
-    """(rows, d_in) -> (rows, d_out) gates: reduce, normalization, ReLU, expand,
-    normalization, logistic."""
-    u = batch_norm(linear(rows, p.w1), p.g1, p.b1, p.n1, training, relu=True)
-    return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
+def _bottleneck(rows: Tensor, p: RecalibrationParams, training: bool,
+                reduced: bool = False) -> Tensor:
+    """(rows, d_in) -> (rows, d_out) gates: reduce (unless the rows come
+    reduced), normalization, ReLU, then one excite."""
+    z = rows if reduced else linear(rows, p.w1)
+    u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
+    return excite(u, p.w2, p.g2, p.b2, p.n2, training)
 
 
 def se_reference(x: Tensor, params: RecalibrationParams, training: bool) -> Tensor:
@@ -132,20 +131,15 @@ class ScaleRecalibration:
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
 
     def gates(self, pooled: Tensor, training: bool) -> Tensor:
-        """This scale's gates, in (0, 1), from its pooled (N*M, .) rows, row
-        n*M + m for cell (or pixel) m of image n: a regional scale's
-        (N*M, d_out) rows, or a sliding scale's (N, d_out, H, W) map, as
-        gate() takes them.
+        """This scale's (N*M, d_out) gates, in (0, 1), from its pooled (N*M, .)
+        rows, row n*M + m for cell (or pixel) m of image n, as gate() takes them.
 
         A regional scale's rows are its d_in-wide cell means, which the
         bottleneck's first map reduces; a sliding scale's are already
-        reduced (project_pool), and excite_map maps them onto the lattice.
+        reduced (project_pool).
         """
-        p = self.params
-        if self.spec.strategy == "sliding":
-            u = batch_norm(pooled, p.g1, p.b1, p.n1, training, relu=True)
-            return excite_map(u, p.w2, p.g2, p.b2, p.n2, training, self.spec)
-        return _bottleneck(pooled, p, training)
+        return _bottleneck(pooled, self.params, training,
+                           reduced=self.spec.strategy == "sliding")
 
     def parameters(self):
         p = self.params

@@ -272,17 +272,6 @@ def _logistic(d, out=None):
     return np.divide(out, e, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, numerically stable for both signs."""
-    s = _logistic(x.data)
-    out = Tensor(s)
-
-    def bwd(og):
-        _accumulate(x, og * s * (1.0 - s))
-
-    return _emit("sigmoid", out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # linear / fully connected
 # ---------------------------------------------------------------------------

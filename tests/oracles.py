@@ -1,16 +1,19 @@
 """The per-scale recalibration path, kept as the oracle of the ops the nets run.
 
 A net pools each site's regional scales with one pooling.regional_pool
-and its sliding scales with pooling.project_pool, then gates them with
-one pooling.gate.  The ops here are the path those replaced: one taped
-pool per scale (coordinate_avg_pool), each regional cell summed by a
-slice sum of its own (cell_sums), a taped broadcast of pooled vectors
-over their cells (broadcast_weights), a taped constant multiple
-(scale), and one scale's pool and bottleneck run on their own
-(scale_forward).  Pooled vectors travel as the production ops pass them,
-(N*M, D) rows with row n*M + m for cell (or pixel) m of image n.  Tests
-compare the production ops against these, and check these against brute
-force and finite differences.
+and its sliding scales with pooling.project_pool, runs every scale's
+bottleneck to one pooling.excite, then gates them with one pooling.gate.
+The ops here are the path those replaced: one taped pool per scale
+(coordinate_avg_pool), each regional cell summed by a slice sum of its
+own (cell_sums), a taped broadcast of pooled vectors over their cells
+(broadcast_weights), a taped constant multiple (scale), the expand
+half of the bottleneck as linear, batch_norm and a taped logistic
+(sigmoid, expand_chain, bottleneck_chain), and one scale's pool and
+bottleneck run on their own (scale_forward).  Pooled vectors and gates
+travel as the production ops pass them, (N*M, D) rows with row n*M + m
+for cell (or pixel) m of image n.  Tests compare the production ops
+against these, and check these against brute force and finite
+differences.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid,
                           _sliding_box_adjoint, _sliding_box_means, project_pool,
                           regional_pool)
-from msar.tensor import Tensor, _accumulate, _emit
+from msar.tensor import Tensor, _accumulate, _emit, _logistic, batch_norm, linear
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -30,6 +33,31 @@ def scale(x: Tensor, c: float) -> Tensor:
         _accumulate(x, og * c)
 
     return _emit("scale", out, bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function, numerically stable for both signs."""
+    s = _logistic(x.data)
+    out = Tensor(s)
+
+    def bwd(og):
+        _accumulate(x, og * s * (1.0 - s))
+
+    return _emit("sigmoid", out, bwd)
+
+
+def expand_chain(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state,
+                 training: bool) -> Tensor:
+    """pooling.excite as three taped ops: linear, batch_norm, sigmoid."""
+    return sigmoid(batch_norm(linear(u, w), gamma, beta, state, training))
+
+
+def bottleneck_chain(rows: Tensor, p, training: bool, reduced: bool = False) -> Tensor:
+    """A scale's whole bottleneck with the expand half as expand_chain; rows
+    that come reduced (project_pool's) skip the reduce."""
+    z = rows if reduced else linear(rows, p.w1)
+    u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
+    return expand_chain(u, p.w2, p.g2, p.b2, p.n2, training)
 
 
 def cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
@@ -87,9 +115,9 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
 
 def scale_forward(s, pool_src: Tensor, training: bool) -> Tensor:
-    """Gates of one ScaleRecalibration alone, in (0, 1), from an (N, d_in, H, W)
-    source: a regional scale's (N*M, d_out) rows, row n*M + m for cell m of
-    image n, or a sliding scale's (N, d_out, H, W) map, as gate() takes them."""
+    """(N*M, d_out) gates of one ScaleRecalibration alone, in (0, 1), from an
+    (N, d_in, H, W) source, row n*M + m for cell (or pixel) m of image n, as
+    gate() takes them."""
     if s.spec.strategy == "sliding":
         return s.gates(project_pool(pool_src, s.params.w1, s.spec), training)
     means, = regional_pool(pool_src, [s.spec])

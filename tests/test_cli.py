@@ -152,6 +152,30 @@ def test_class_count_mismatch_diagnostic(tmp_path, capsys):
     assert "2 classes" in err and "5 outputs" in err
 
 
+@pytest.mark.parametrize("msar", ["on", "off"])
+def test_input_size_the_records_cannot_have_is_rejected(toy_setup, msar, capsys):
+    # records are 32x32: a 64 network fails before building, with or
+    # without recalibration sites, and writes nothing
+    cfg, out = toy_setup
+    lines = cfg.read_text().replace("msar.enabled = on", f"msar.enabled = {msar}")
+    cfg.write_text(lines + "network.input_size = 64\n")
+    for argv in (["train", str(cfg)], ["eval", str(cfg), str(out / "weights.bin")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "network.input_size" in err and "64" in err and "32x32" in err
+    assert not out.exists()
+
+
+def test_analyze_only_presets_analyze_but_do_not_train(tmp_path, capsys):
+    # a 224 preset prices its maps, but no record file holds 224x224 images
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "resnet18_ilsvrc.cfg")
+    assert main(["analyze", cfg]) == 0
+    assert capsys.readouterr().out.startswith("network: resnet18\n")
+    assert main(["train", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "224" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_data_classes_without_records_diagnostic(tmp_path, capsys):
     train_bin = tmp_path / "t.bin"
     write_synthetic(str(train_bin), per_class=2, classes=(0, 1), seed=1)
@@ -196,7 +220,7 @@ def test_gradcheck_all_rows_ok(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("operator")
     body = lines[1:]
-    assert len(body) == 23
+    assert len(body) == 22
     assert all(line.endswith("ok") for line in body)
     assert any("conv2d" in line for line in body)
     assert any("multi_scale_recalibration" in line for line in body)

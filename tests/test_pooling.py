@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.pooling import (CoordinateSetSpec, build_sat, coordinate_set, excite_map, gate,
+from msar.pooling import (CoordinateSetSpec, build_sat, coordinate_set, excite, gate,
                           project_pool, rect_sum, region_avg_pool, regional_pool)
-from msar.tensor import (BNState, Tape, Tensor, add, backward, linear, mul, relu,
-                         sum_all)
-from oracles import broadcast_weights, coordinate_avg_pool
+from msar.tensor import BNState, Tape, Tensor, add, backward, linear, mul, relu, sum_all
+from oracles import broadcast_weights, coordinate_avg_pool, expand_chain, sigmoid
 
 
 def prefix_table(x):
@@ -31,6 +30,17 @@ def test_sat_matches_prefix_oracle():
     for _ in range(5):
         x = rng.standard_normal((2, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
         assert np.allclose(build_sat(x), prefix_table(x), atol=1e-12)
+
+
+def test_float32_tensor_sat_sums_in_float64():
+    # a float32 Tensor's table is summed in float64, as a raw array's is: in
+    # float32 the 12x12 sum of values near 1000 was off by 0.015
+    rng = np.random.default_rng(23)
+    x = (1000.0 + rng.uniform(-0.1, 0.1, (1, 12, 12))).astype(np.float32)
+    want = x.astype(np.float64).sum()
+    for table in (build_sat(Tensor(x)), build_sat(x)):
+        assert table.dtype == np.float64
+        assert rect_sum(table, 0, 0, 11, 0, 11) == want
 
 
 def test_rect_sum_exhaustive_small_lattice():
@@ -526,12 +536,71 @@ def test_pools_do_not_depend_on_input_layout(name):
 
 
 def test_excite_map_rejects_mismatched_rows_and_weight():
+    # excite checks its weight; gate checks the rows against x's lattice
+    # (test_gate_rejects_sliding_rows_of_another_count)
+    rest = (Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState(3), True)
+    with pytest.raises(ValueError, match="excite:"):          # weight reads 1 of 2 columns
+        excite(Tensor(np.zeros((16, 2))), Tensor(np.zeros((3, 1))), *rest)
+
+
+@pytest.mark.parametrize("count", [15, 17, 48])
+def test_gate_rejects_sliding_rows_of_another_count(count):
+    # a sliding scale on a 4x4 map at batch 2 takes N*H*W = 32 rows of 3, nothing else
     spec = CoordinateSetSpec("sliding", 2, 4, 4)
-    rest = (Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState(3), True, spec)
-    with pytest.raises(ValueError):                           # weight reads 1 of 2 columns
-        excite_map(Tensor(np.zeros((16, 2))), Tensor(np.zeros((3, 1))), *rest)
-    with pytest.raises(ValueError):                           # 15 rows on a 16-pixel lattice
-        excite_map(Tensor(np.zeros((15, 2))), Tensor(np.zeros((3, 2))), *rest)
+    x = Tensor(np.ones((2, 3, 4, 4)))
+    assert gate(x, [Tensor(np.full((32, 3), 0.5))], [spec]).shape == x.shape
+    with pytest.raises(ValueError, match="gate:"):
+        gate(x, [Tensor(np.full((count, 3), 0.5))], [spec])
+
+
+def excite_with_grads(forward, u, w, gamma, beta, state, training, probe):
+    """forward's gates, then the gradients of u, w, gamma and beta for probe . gates."""
+    leaves = [Tensor(t) for t in (u, w, gamma, beta)]
+    with Tape() as tape:
+        out = forward(*leaves, state, training)
+        loss = sum_all(mul(out, Tensor(probe)))
+    backward(tape, loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def bn_state(d, rng, dtype):
+    st = BNState(d, dtype=dtype)
+    st.mean[...], st.var[...] = rng.standard_normal(d), rng.uniform(0.5, 1.5, d)
+    return st
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("count", [32 * 16, 32 * 4, 32, 3, 2, 1])
+def test_excite_matches_chain_oracle(count, training, dtype):
+    # a regional scale's rows at batch 32 (K = 4, 2, 1) and degenerate
+    # batches of 1-3 rows at r = 4, where R has fewer rows than columns:
+    # gates, every gradient and the running statistics against linear,
+    # batch_norm and sigmoid in float64 on the same inputs, each within its
+    # bound of the array's largest entry.  One row has zero variance in
+    # training mode.  Two rows normalize to +-1 whatever u and w are, so
+    # their gradients are residues of eps, near zero in exact arithmetic
+    # (float64 against long double: u's 1.1e-12 and w's 2.9e-12 of their own
+    # largest entry here, the chain's 6.5e-13 and 2.4e-13), measured against
+    # the largest gradient entry
+    rng = np.random.default_rng(count)
+    r, d = 4, 6
+    u = np.maximum(rng.standard_normal((count, r)), 0).astype(dtype)
+    w, beta = (rng.standard_normal(shape).astype(dtype) for shape in ((d, r), (d,)))
+    gamma = rng.uniform(0.5, 1.5, d).astype(dtype)
+    probe = rng.standard_normal((count, d)).astype(dtype)
+    states = [bn_state(d, np.random.default_rng(7), t) for t in (dtype, np.float64)]
+    got = excite_with_grads(excite, u, w, gamma, beta, states[0], training, probe)
+    u, w, gamma, beta, probe = (t.astype(np.float64) for t in (u, w, gamma, beta, probe))
+    want = excite_with_grads(expand_chain, u, w, gamma, beta, states[1], training, probe)
+    got += [states[0].mean, states[0].var]
+    want += [states[1].mean, states[1].var]
+    bound = 1e-12 if dtype == np.float64 else FLOAT32_SITE_BOUND
+    grads = max(np.abs(g).max() for g in want[1:5])
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == dtype and a.shape == b.shape, i
+        ref = grads if count == 2 and training and i in (1, 2) else np.abs(b).max()
+        assert np.abs(a - b).max() <= bound * ref, i
 
 
 def test_gate_is_input_times_mean_of_broadcast_maps():
@@ -560,8 +629,7 @@ def test_gate_with_skip_is_bitwise_relu_of_add(scale_set, dtype):
     shape = (2, 3, 5, 7)
     x = rng.standard_normal(shape).astype(dtype)
     skip = rng.standard_normal(shape).astype(dtype)
-    vs = [rng.uniform(0.1, 0.9, (2 * s.vector_count, 3) if s.strategy == "regional" else shape)
-          .astype(dtype) for s in specs]
+    vs = [rng.uniform(0.1, 0.9, (2 * s.vector_count, 3)).astype(dtype) for s in specs]
     probe = Tensor(rng.standard_normal(shape), dtype=dtype)
     results = []
     for fused in (True, False):
@@ -579,12 +647,11 @@ def test_gate_with_skip_is_bitwise_relu_of_add(scale_set, dtype):
 
 def test_gate_gradients_both_strategies():
     rng = np.random.default_rng(32)
-    # a sliding scale's gate is its whole (N, D, H, W) map
+    # a sliding scale's gates are a row per pixel, viewed as its map
     for strategy, scales in (("regional", (2, 3)), ("sliding", (1, 2))):
         specs = [CoordinateSetSpec(strategy, k, 7, 5) for k in scales]
         x = Tensor(rng.standard_normal((2, 3, 5, 7)))
-        vs = [Tensor(rng.standard_normal((2 * s.vector_count, 3) if strategy == "regional"
-                                         else x.shape)) for s in specs]
+        vs = [Tensor(rng.standard_normal((2 * s.vector_count, 3))) for s in specs]
         err = check_gradients(lambda: gate(x, vs, specs), [x] + vs, rng)
         assert err < TOLERANCE
 
@@ -614,7 +681,7 @@ def test_gate_rejects_mismatched_vectors():
         gate(x, [], [])
     with pytest.raises(ValueError, match="gate:"):            # rows of a scale on 8x8
         gate(x, [v], [CoordinateSetSpec("regional", 2, 8, 8)])
-    with pytest.raises(ValueError):                           # sliding vectors, not a map
-        gate(x, [Tensor(np.zeros((16, 3)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
+    with pytest.raises(ValueError, match="gate:"):            # a sliding map, not rows
+        gate(x, [Tensor(np.zeros((1, 3, 4, 4)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
     with pytest.raises(ValueError):                           # skip of another shape
         gate(x, [v], [spec], skip=Tensor(np.zeros((1, 3, 4, 2))))

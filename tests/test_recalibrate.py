@@ -8,13 +8,12 @@ import pytest
 from msar.blocks import MsarSettings, build_network, resnet_cifar
 from msar.costs import report
 from msar.gradcheck import TOLERANCE, check_gradients
-from msar.pooling import CoordinateSetSpec, coordinate_set, excite_map, gate, project_pool
+from msar.pooling import CoordinateSetSpec, coordinate_set, excite, gate, project_pool
 from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
-                              RecalibrationParams, ScaleRecalibration,
-                              _bottleneck, se_reference)
-from msar.tensor import (BNState, Tape, Tensor, add, backward, batch_norm, cross_entropy,
-                         linear, mul, sigmoid, sum_all)
-from oracles import broadcast_weights, coordinate_avg_pool, scale, scale_forward
+                              RecalibrationParams, ScaleRecalibration, se_reference)
+from msar.tensor import BNState, Tape, Tensor, add, backward, cross_entropy, mul, sum_all
+from oracles import (bottleneck_chain, broadcast_weights, coordinate_avg_pool, expand_chain,
+                     scale, scale_forward, sigmoid)
 
 
 def naive_recalibration(x, params, spec):
@@ -70,36 +69,21 @@ def fresh_scale(spec, d, reduced, seed):
     return ScaleRecalibration("s", spec, d, d, reduced, np.random.default_rng(seed))
 
 
-def chain_vectors(s, pooled, training):
-    """A scale's (N*M, d_out) gate rows from its pooled rows, formed by the
-    whole bottleneck: a sliding scale's reduced rows go through the
-    full-size (N*H*W, d_out) linear, batch_norm and sigmoid chain.  With
-    broadcast_weights and gate this is the oracle of excite_map."""
-    p = s.params
-    if s.spec.strategy == "regional":
-        return _bottleneck(pooled, p, training)
-    u = batch_norm(pooled, p.g1, p.b1, p.n1, training, relu=True)
-    return sigmoid(batch_norm(linear(u, p.w2), p.g2, p.b2, p.n2, training))
-
-
 def per_scale_vectors(s, src, training):
-    """One scale's chain_vectors from a pool of its own: a regional scale runs
-    coordinate_avg_pool, the per-scale path that regional_pool replaces."""
+    """A scale's (N*M, d_out) gate rows from a pool of its own (a regional scale
+    runs coordinate_avg_pool, the per-scale path that regional_pool replaces),
+    formed by the whole bottleneck with its expand half as the linear,
+    batch_norm and sigmoid chain (bottleneck_chain).  With broadcast_weights
+    and gate this is the oracle of excite."""
     if s.spec.strategy == "sliding":
-        return chain_vectors(s, project_pool(src, s.params.w1, s.spec), training)
-    return chain_vectors(s, coordinate_avg_pool(src, s.spec), training)
+        pooled = project_pool(src, s.params.w1, s.spec)
+        return bottleneck_chain(pooled, s.params, training, reduced=True)
+    return bottleneck_chain(coordinate_avg_pool(src, s.spec), s.params, training)
 
 
 def chain_map(s, src, training):
     """One scale's per_scale_vectors painted onto the lattice."""
     return broadcast_weights(per_scale_vectors(s, src, training), s.spec)
-
-
-def scale_map(s, src, training):
-    """One scale's gates on the lattice as a site forms them: a sliding
-    scale's excite_map, or regional vectors painted by broadcast_weights."""
-    gates = scale_forward(s, src, training)
-    return gates if s.spec.strategy == "sliding" else broadcast_weights(gates, s.spec)
 
 
 def composed_site(module, x, training, pool_src=None):
@@ -120,7 +104,8 @@ def test_single_scale_matches_naive_oracle():
     for strategy, k in (("regional", 2), ("regional", 3), ("sliding", 2)):
         spec = CoordinateSetSpec(strategy, k, 6, 6)
         x = rng.standard_normal((3, 4, 6, 6))
-        got = scale_map(fresh_scale(spec, 4, 2, seed=k), Tensor(x), training=True)
+        s = fresh_scale(spec, 4, 2, seed=k)
+        got = broadcast_weights(scale_forward(s, Tensor(x), training=True), spec)
         want = naive_recalibration(x, fresh_params(4, 2, seed=k), spec)
         assert np.allclose(got.data, want, atol=1e-10)
 
@@ -320,31 +305,27 @@ def composed(module, x, training, src):
     return composed_site(module, x, training, pool_src=src)
 
 
-def assert_site_matches(got, want, geometry, residues=()):
-    """Bitwise for a single regional scale.  A multi-scale regional site sums
-    its cells from one refinement pass, and a sliding scale's excite_map
-    re-associates the expand norm, so those match within 1e-12 of each
-    array's largest entry.  An array whose name ends in one of residues is a
-    cancellation residue, near zero in exact arithmetic, and is measured
-    against the site's largest gradient entry instead."""
-    scales, strategy = geometry[:2]
+def assert_site_matches(got, want, residues=()):
+    """Every scale's excite re-associates the expand norm, and a multi-scale
+    regional site sums its cells from one refinement pass, so each array
+    matches within 1e-12 of its largest entry.  An array whose name ends in
+    one of residues is a cancellation residue, near zero in exact
+    arithmetic, and is measured against the site's largest gradient entry
+    instead."""
     assert [name for name, _ in got] == [name for name, _ in want]
     grads = max(np.abs(b).max() for name, b in want
                 if name != "out" and not name.endswith(("mean", "var")))
     for (name, a), (_, b) in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        if strategy == "regional" and len(scales) == 1:
-            assert a.tobytes() == b.tobytes(), name
-        else:
-            ref = grads if name.endswith(residues) else np.abs(b).max()
-            assert np.abs(a - b).max() <= 1e-12 * ref, name
+        ref = grads if name.endswith(residues) else np.abs(b).max()
+        assert np.abs(a - b).max() <= 1e-12 * ref, name
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: f"{g[1]}{g[0]}-{g[2]}x{g[3]}")
 def test_gate_bitwise_matches_composed_site(geometry, training):
     assert_site_matches(run_site(fused, geometry, training),
-                        run_site(composed, geometry, training), geometry)
+                        run_site(composed, geometry, training))
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -353,7 +334,7 @@ def test_gate_bitwise_with_separate_pool_source(training):
     for geometry in GEOMETRIES[:2] + GEOMETRIES[3:]:
         got = run_site(fused, geometry, training, d_in=6, d_out=3, separate=True)
         want = run_site(composed, geometry, training, d_in=6, d_out=3, separate=True)
-        assert_site_matches(got, want, geometry)
+        assert_site_matches(got, want)
 
 
 def per_scale_site(module, x, training, src):
@@ -400,7 +381,7 @@ def test_sliding_site_tape_holds_reduced_width_pools():
     # a sliding scale's pooled vectors are `reduced` wide, and the
     # whole-lattice K=1 scale keeps one vector per image.  Apart from the
     # gated output, the only full-size arrays are the two sliding scales'
-    # gate maps (excite_map); pooling all 16 channels first held 16.8x the
+    # gate rows (excite); pooling all 16 channels first held 16.8x the
     # input, and the full-size expand chain 7.4x
     module = MultiScaleRecalibration(
         "m", MultiScaleConfig(scales=(1, 2, 4), strategy="sliding"), 16, 16,
@@ -426,15 +407,16 @@ def test_float32_sliding_network_stays_float32():
             assert t.grad is not None and t.grad.dtype == np.float32, (strategy, name)
 
 
-BOTTLENECK_OPS = ["linear", "batch_norm", "linear", "batch_norm", "sigmoid"]
+BOTTLENECK_OPS = ["linear", "batch_norm", "gate"]
 
 
 @pytest.mark.parametrize("strategy", ["regional", "sliding"])
 def test_site_records_pools_bottlenecks_and_one_gate(strategy):
     # a (1, 2, 4) site on 8x8: regional_pool's refinement entry and one per
     # regional scale, the sliding scales' project_pools, each scale's
-    # bottleneck on its rows, one gate; the K=1 sliding scale runs as the
-    # regional cell, and no op reshapes pooled rows or gates
+    # bottleneck on its rows, ending in excite (a gate entry), one gate; the
+    # K=1 sliding scale runs as the regional cell, and no op reshapes pooled
+    # rows or gates
     module = MultiScaleRecalibration("m", MultiScaleConfig((1, 2, 4), strategy), 4, 4, 8, 8,
                                      reduced=2, rng=np.random.default_rng(23))
     x = Tensor(np.random.default_rng(24).standard_normal((2, 4, 8, 8)))
@@ -449,16 +431,16 @@ def test_site_records_pools_bottlenecks_and_one_gate(strategy):
     assert names == want
     # pooled vectors and regional gates are (N*M, .) rows
     pooled = [out.shape for name, out, _ in tape._entries if name == "coordinate_avg_pool"]
-    gates = [out.shape for name, out, _ in tape._entries if name == "sigmoid"]
+    gates = [out.shape for name, out, _ in tape._entries[:-1] if name == "gate"]
     if strategy == "regional":
         assert pooled[1:] == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
         assert gates == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
     else:
         assert pooled[1:] == [(2, 4), (2 * 64, 2), (2 * 64, 2)]
-        assert gates == [(2, 4)]
+        assert gates == [(2, 4), (2 * 64, 4), (2 * 64, 4)]
 
 
-@pytest.mark.parametrize("strategy, entries", [("regional", 223), ("sliding", 169)])
+@pytest.mark.parametrize("strategy, entries", [("regional", 169), ("sliding", 151)])
 def test_resnet20_msar_step_records_no_reshape(strategy, entries):
     spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy=strategy))
     net = build_network(spec, seed=25)
@@ -466,7 +448,8 @@ def test_resnet20_msar_step_records_no_reshape(strategy, entries):
     with Tape() as tape:
         cross_entropy(net.forward(x, training=True), np.array([1, 7]))
     names = [name for name, _, _ in tape._entries]
-    assert "reshape" not in names
+    # every scale's expand half is one excite, recorded as gate
+    assert "reshape" not in names and "sigmoid" not in names
     assert len(names) == entries
 
 
@@ -478,10 +461,8 @@ def pool_then_project(module, x, training, src):
     pool, and no whole-lattice window run as the K=1 cell."""
     src = x if src is None else src
     specs = module.config.specs(x.shape[3], x.shape[2])
-    vs = []
-    for s, spec in zip(module.scales, specs):
-        v = _bottleneck(coordinate_avg_pool(src, spec), s.params, training)
-        vs.append(broadcast_weights(v, spec))
+    vs = [bottleneck_chain(coordinate_avg_pool(src, spec), s.params, training)
+          for s, spec in zip(module.scales, specs)]
     return gate(x, vs, specs)
 
 
@@ -527,11 +508,11 @@ RESIDUES = {2: ("reduce_norm.gamma",), 1: ("reduce_norm.gamma", "expand.weight")
 def test_sliding_site_matches_chain_oracle(geometry, training, separate, reduced):
     # composed_site runs each sliding scale's full-size linear, batch_norm and
     # sigmoid chain and paints it with broadcast_weights, bitwise what the
-    # gate op did with sliding vectors; excite_map folds that chain
+    # gate op did with sliding vectors; excite folds that chain
     kw = {"d_in": 6, "d_out": 3, "separate": True} if separate else {}
     got = run_site(fused, geometry, training, reduced=reduced, **kw)
     want = run_site(composed, geometry, training, reduced=reduced, **kw)
-    assert_site_matches(got, want, geometry, RESIDUES[reduced])
+    assert_site_matches(got, want, RESIDUES[reduced])
 
 
 @pytest.mark.parametrize("separate", [False, True], ids=["self", "wider-source"])
@@ -541,56 +522,54 @@ def test_one_image_sliding_site_matches_chain_oracle(separate):
     for geometry in SLIDING_GEOMETRIES:
         got = run_site(fused, geometry, True, batch=1, **kw)
         want = run_site(composed, geometry, True, batch=1, **kw)
-        assert_site_matches(got, want, geometry, RESIDUES[2])
+        assert_site_matches(got, want, RESIDUES[2])
 
 
 def test_constant_map_folds_to_beta():
     # a zero pool source reduces to rows u = relu(beta1) = 0: both norms see
-    # zero variance, and each sliding scale's map is sigmoid(beta) exactly
+    # zero variance, and each sliding scale's gates are sigmoid(beta) exactly
     geometry = ((2, 4), "sliding", 8, 8)
     for training in (True, False):
         got = run_site(fused, geometry, training, separate=True, fill=0.0)
         want = run_site(composed, geometry, training, separate=True, fill=0.0)
-        assert_site_matches(got, want, geometry)
+        assert_site_matches(got, want)
     module = MultiScaleRecalibration("m", MultiScaleConfig((2, 4), "sliding"), 4, 4, 8, 8,
                                      reduced=2, rng=np.random.default_rng(17))
     for s in module.scales:
         s.params.b2.data[...] = np.linspace(-1.0, 1.0, 4)
         gates = scale_forward(s, Tensor(np.zeros((3, 4, 8, 8))), training=True).data
-        want = sigmoid(s.params.b2).data
-        assert np.array_equal(gates, np.broadcast_to(want[:, None, None], gates.shape))
+        assert np.array_equal(gates, np.broadcast_to(sigmoid(s.params.b2).data, gates.shape))
 
 
 def test_constant_rows_fold_to_beta():
-    # rows equal to a dyadic constant have an exact mean, so their covariance
-    # is exactly zero and the folded map is sigmoid(beta); the chain's batch
-    # norm sees rounding in its mean and lands within 1e-12
-    spec = CoordinateSetSpec("sliding", 2, 8, 8)
+    # rows equal to a dyadic constant have an exact mean, so their centred
+    # rows and R factor are exactly zero and the folded gates are
+    # sigmoid(beta); the chain's batch norm sees rounding in its mean and
+    # lands within 1e-12.  A sliding scale's 3 * 64 rows, or a regional one's
     rng = np.random.default_rng(42)
     w, gamma, beta = (Tensor(rng.standard_normal(shape)) for shape in ((4, 2), (4,), (4,)))
-    u = Tensor(np.full((3 * 64, 2), 0.25))
-    gates = excite_map(u, w, gamma, beta, BNState(4), True, spec).data
-    assert np.array_equal(gates, np.broadcast_to(sigmoid(beta).data[:, None, None],
-                                                 gates.shape))
-    chain = sigmoid(batch_norm(linear(u, w), gamma, beta, BNState(4), True)).data
-    chain = chain.reshape(3, 8, 8, 4).transpose(0, 3, 1, 2)
-    assert np.abs(gates - chain).max() <= 1e-12
+    for count in (3 * 64, 3 * 4, 3):
+        u = Tensor(np.full((count, 2), 0.25))
+        gates = excite(u, w, gamma, beta, BNState(4), True).data
+        assert np.array_equal(gates, np.broadcast_to(sigmoid(beta).data, gates.shape))
+        chain = expand_chain(u, w, gamma, beta, BNState(4), True).data
+        assert np.abs(gates - chain).max() <= 1e-12
 
 
 def test_float32_sliding_expand_grads_track_float64():
     # a stage-0 site at batch 32, gradients and expand_norm statistics: the
     # chain's float32 batch_norm backward cancels over 32768 full-size rows,
-    # the folded one in r x r moments.  Measured: scale2's expand.weight is
-    # off by 5.1e-5 folded and by 6.1e-4 chained (3.2e-2 while batch_norm
+    # excite in r x r moments from a QR.  Measured: scale2's expand.weight is
+    # off by 4.5e-6 in excite and by 5.4e-4 chained (3.2e-2 while batch_norm
     # summed its rows with einsum's single running sum), so 1e-4 parts them
     geometry = ((1, 2, 4), "sliding", 32, 32)
     kw = {"d_in": 16, "d_out": 16, "batch": 32, "reduced": 1}
     want = dict(run_site(fused, geometry, True, **kw))
-    for forward, name in ((fused, "excite_map"), (composed, "chain")):
+    for forward, name in ((fused, "excite"), (composed, "chain")):
         got = dict(run_site(forward, geometry, True, dtype=np.float32, **kw))
         errs = {key: np.abs(got[key] - want[key]).max() / np.abs(want[key]).max()
                 for key in want if ".expand" in key and ".scale1." not in key}
-        if name == "excite_map":
+        if name == "excite":
             assert max(errs.values()) <= 1e-4, errs
         else:
             assert errs["m.scale2.expand.weight"] > 1e-4, errs

@@ -15,7 +15,8 @@ from msar.pooling import CoordinateSetSpec, project_pool
 from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
                          backward, batch_norm, concat_channels, conv2d,
                          cross_entropy, global_avg_pool, linear, max_pool2d,
-                         mul, relu, sigmoid, sum_all)
+                         mul, relu, sum_all)
+from oracles import sigmoid
 
 
 def naive_conv2d(x, k, stride, pad):
@@ -839,9 +840,11 @@ def _slot_cases():
     sld = [CoordinateSetSpec("sliding", k, 6, 6) for k in (2, 4)]
     vr = [Tensor(rng.uniform(0.1, 0.9, (2 * s.vector_count, 3))) for s in reg]
     vs = [Tensor(rng.uniform(0.1, 0.9, (2 * s.vector_count, 3))) for s in sld]
-    maps = [Tensor(_channel_major(rng.uniform(0.1, 0.9, (2, 3, 6, 6)))) for _ in sld]
+    # a sliding scale's gate rows as excite writes them: (D, N*H*W) memory
+    maps = [Tensor(rng.uniform(0.1, 0.9, (3, 2 * 36)).T) for _ in sld]
     pw = leaf(2, 3)
     u, ew, egam, ebet = leaf(72, 2), leaf(3, 2), Tensor(rng.uniform(0.5, 1.5, 3)), leaf(3)
+    ur = leaf(2 * 4, 2)
     est = BNState(3)
     est.mean[...], est.var[...] = rng.standard_normal(3), rng.uniform(0.5, 1.5, 3)
     labels = np.array([0, 3, 1, 5, 2])
@@ -879,13 +882,16 @@ def _slot_cases():
         ("gate-sliding", [x] + maps, lambda: msar.pooling.gate(x, maps, sld)),
         ("gate-skip", [x, y, vr[1], maps[0]],
          lambda: msar.pooling.gate(x, [vr[1], maps[0]], [reg[1], sld[0]], skip=y)),
+        # excite on a sliding scale's rows, which the gate views as its map
         ("excite_map-train", [u, ew, egam, ebet],
-         lambda: msar.pooling.excite_map(u, ew, egam, ebet, est, True, sld[0])),
+         lambda: msar.pooling.excite(u, ew, egam, ebet, est, True)),
         ("excite_map-eval", [u, ew, egam, ebet],
-         lambda: msar.pooling.excite_map(u, ew, egam, ebet, est, False, sld[0])),
+         lambda: msar.pooling.excite(u, ew, egam, ebet, est, False)),
         ("excite_map-gate", [x, u],
-         lambda: msar.pooling.gate(x, [msar.pooling.excite_map(u, ew, egam, ebet, est, True, sp)
-                                       for sp in sld], sld)),
+         lambda: msar.pooling.gate(x, [msar.pooling.excite(u, ew, egam, ebet, est, True)
+                                       for _ in sld], sld)),
+        ("excite-regional-gate", [x, ur],
+         lambda: msar.pooling.gate(x, [msar.pooling.excite(ur, ew, egam, ebet, est, True)], reg[1:2])),
         ("regional_pool", [x, y],
          lambda: msar.pooling.gate(y, msar.pooling.regional_pool(x, reg), reg)),
         ("regional_pool-self", [x],
@@ -939,7 +945,8 @@ def _assert_slots_apart(loss, leaves):
 @pytest.mark.parametrize("name", ["add-self", "add", "add-relu", "add-relu-self", "concat",
                                   "concat-self", "gate-regional", "gate-sliding",
                                   "gate-skip", "regional_pool",
-                                  "excite_map-train", "excite_map-eval", "excite_map-gate"])
+                                  "excite_map-train", "excite_map-eval", "excite_map-gate",
+                                  "excite-regional-gate"])
 def test_handed_over_slots_share_no_memory(name):
     _name, leaves, fn = next(c for c in SLOT_CASES if c[0] == name)
     for t in leaves:
