@@ -66,8 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (BNState, Tensor, _accumulate, _channel_rows, _emit, _from_rows,
-                     _logistic, _row_dots)
+from .tensor import BNState, Tensor, _accumulate, _channel_rows, _emit, _from_rows, _logistic
 
 STRATEGIES = ("sliding", "regional")
 
@@ -431,8 +430,8 @@ def excite(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     diag(w cov(u) w.T) for nearly degenerate rows).  The gates are one thin
     GEMM of the folded weight w * gamma / std with those rows, plus beta
     (eval mode folds the running statistics), stored (D, rows).  Backward
-    works from og * s * (1 - s) by row sums, thin GEMMs and r x r terms of
-    R.T R / rows.  Recorded on the tape as gate.
+    works from og * s * (1 - s), its one (D, rows) array, by row sums,
+    thin GEMMs and r x r terms.  Recorded on the tape as gate.
     """
     count, r = u.shape
     if w.shape[1] != r:
@@ -470,15 +469,12 @@ def excite(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         dw = p * a[:, None]
         if training:
             # the batch moments' share of dpre - (dbeta + zhat * dgamma) / count:
-            # dw's by r x r terms; dpre is centred, then projected off the pre-norm
-            # rows z by z's own moments, so var's rounding stays out of du
+            # dpre is centred in place, zhat's term reaches dw and du in r x r terms
             dw -= (w2 @ cov) * (a * (dgamma * inv))[:, None]
             dpre -= (dbeta / count)[:, None]
-            z = _thin_matmul(w2, rows.T)                # (D, rows)
-            z *= (_row_dots(z, dpre) / (_row_dots(z, z) + count * state.eps))[:, None]
-            dpre -= z
-            del z
         du = dpre.T @ fold
+        if training:
+            du -= _thin_matmul(rows, w2.T @ ((dgamma * inv / count)[:, None] * fold))
         for t, g in ((gamma, dgamma), (beta, dbeta), (w, dw), (u, du)):
             _accumulate(t, g)
 
@@ -487,8 +483,8 @@ def excite(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
 
 def _mean_map(cells, rows, count, shape) -> np.ndarray:
     """(N, D, H, W) sum over count of the regional (vectors, spec) cells
-    broadcast by _gate_map (which averages them alone, bitwise as before)
-    and the sliding scales' rows viewed as maps of `shape`, a new array.
+    broadcast by _gate_map (which averages them alone) and the sliding
+    scales' rows viewed as maps of `shape`, a new array.
     """
     vs, specs = [v.data for v, _ in cells], [spec for _, spec in cells]
     if not rows:
@@ -509,11 +505,11 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     scale's broadcast over its cells, a sliding scale's viewed as its map.
     Backward gives the regional scales the cell sums of og * x / S (one
     _scale_sums pass) and each sliding scale og * x / S itself, then
-    rebuilds the mean map by adds and gives x og * mean, formed in og's
-    buffer.  A skip is added and the relu taken in the product's buffer, so
-    the tape keeps that one map for a residual block's whole tail; backward
-    masks og in place by out > 0 first and hands the skip a copy, as
-    relu(add(gate(...), skip)) does.
+    rebuilds the mean map by adds and gives x og * mean, formed in the
+    mean map's buffer.  A skip is added and the relu taken in the product's
+    buffer, so the tape keeps that one map for a residual block's whole
+    tail; backward masks og in place by out > 0 first, as
+    relu(add(gate(...), skip)) does, and hands the skip og itself.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")
@@ -536,7 +532,6 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     def bwd(og):
         if skip is not None:
             og *= out.data > 0
-            _accumulate(skip, og.copy())
         g = np.multiply(og, x.data, out=np.empty_like(x.data))
         if len(vs) > 1:
             g *= 1.0 / len(vs)
@@ -548,7 +543,10 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
             # a gradient slot is an array no other slot shares
             _accumulate(v, grows.copy(order="K") if i else grows)
         del g, grows
-        og *= _mean_map(cells, rows, len(vs), x.shape)
-        _accumulate(x, og)
+        gx = _mean_map(cells, rows, len(vs), x.shape)
+        gx *= og
+        _accumulate(x, gx)
+        if skip is not None:
+            _accumulate(skip, og)
 
     return _emit("gate", out, bwd)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid,
+from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid, coordinate_set,
                           _sliding_box_adjoint, _sliding_box_means, project_pool,
                           regional_pool)
 from msar.tensor import Tensor, _accumulate, _emit, _logistic, batch_norm, linear
@@ -122,3 +122,163 @@ def scale_forward(s, pool_src: Tensor, training: bool) -> Tensor:
         return s.gates(project_pool(pool_src, s.params.w1, s.spec), training)
     means, = regional_pool(pool_src, [s.spec])
     return s.gates(means, training)
+
+
+# -- a whole site in long double ---------------------------------------------
+
+LD = np.longdouble
+
+
+def _ld_bands(spec: CoordinateSetSpec):
+    """(M_h, H) and (M_w, W) averaging matrices of spec's coordinate sets.
+
+    Every set is a rectangle, so its mean is separable: a band of rows
+    times a band of columns, each over its own size.  The bands are read
+    off coordinate_set: a regional scale's cells, a sliding scale's
+    clipped windows, one per row and one per column.
+    """
+    rows = [coordinate_set(spec, 0, h)[0][:2] for h in range(spec.height)]
+    cols = [coordinate_set(spec, w, 0)[0][2:] for w in range(spec.width)]
+    if spec.strategy == "regional":
+        rows, cols = sorted(set(rows)), sorted(set(cols))
+
+    def average(bands, n):
+        m = np.zeros((len(bands), n), LD)
+        for i, (lo, hi) in enumerate(bands):
+            m[i, lo:hi + 1] = 1 / LD(hi - lo + 1)
+        return m
+
+    return average(rows, spec.height), average(cols, spec.width)
+
+
+def _ld_rows(a):
+    """(N, D, M_h, M_w) -> (N*M_h*M_w, D) rows, row n*M + m."""
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
+def _ld_map(rows, n, mh, mw):
+    """Inverse of _ld_rows."""
+    return rows.reshape(n, mh, mw, -1).transpose(0, 3, 1, 2)
+
+
+def _ld_norm(a, gamma, beta, state, training):
+    """Batch norm of (rows, C) a: (xhat, inv std, output, new running mean and var)."""
+    mean, var = state.mean.astype(LD), state.var.astype(LD)
+    if training:
+        mu, v = a.mean(axis=0), a.var(axis=0)
+        new = (mean + LD(state.momentum) * (mu - mean), var + LD(state.momentum) * (v - var))
+    else:
+        mu, v, new = mean, var, (mean, var)
+    inv = 1 / np.sqrt(v + LD(state.eps))
+    xhat = (a - mu) * inv
+    return xhat, inv, xhat * gamma + beta, new
+
+
+def _ld_norm_bwd(gy, xhat, inv, gamma, training):
+    """(input grad, gamma grad, beta grad) of _ld_norm from its output's grad."""
+    g = gy * gamma
+    if training:
+        n = g.shape[0]
+        g = inv / n * (n * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0))
+    else:
+        g = g * inv
+    return g, (gy * xhat).sum(axis=0), gy.sum(axis=0)
+
+
+def long_double_bottleneck(pooled, p, training):
+    """A scale's bottleneck on (rows, d_in) pooled rows in long double:
+    linear, norm, relu, linear, norm, logistic.
+
+    Returns the (rows, d_out) gates, the four running statistics after
+    the step, and backward(gv) -> (pooled grad, [w1, g1, b1, w2, g2, b2]
+    grads).
+    """
+    w1, g1, b1, w2, g2, b2 = (t.data.astype(LD) for t in (p.w1, p.g1, p.b1, p.w2, p.g2, p.b2))
+    ahat, inv1, y1, stats1 = _ld_norm(pooled @ w1.T, g1, b1, p.n1, training)
+    u = np.maximum(y1, 0)
+    zhat, inv2, y2, stats2 = _ld_norm(u @ w2.T, g2, b2, p.n2, training)
+    v = 1 / (1 + np.exp(-y2))
+
+    def backward(gv):
+        gz, dg2, db2 = _ld_norm_bwd(gv * v * (1 - v), zhat, inv2, g2, training)
+        ga, dg1, db1 = _ld_norm_bwd((gz @ w2) * (y1 > 0), ahat, inv1, g1, training)
+        return ga @ w1, [ga.T @ pooled, dg1, db1, gz.T @ u, dg2, db2]
+
+    return v, stats1 + stats2, backward
+
+
+def long_double_site(module, x, og, training, src=None, skip=None):
+    """A MultiScaleRecalibration's forward and backward in long double.
+
+    Each scale averages its pool source (x unless src is given) over its
+    coordinate sets, regional cell means or sliding window means, by the
+    separable bands of _ld_bands, and runs long_double_bottleneck on the
+    means: a sliding scale pools first and maps after, which equals
+    project_pool in exact arithmetic.  The gates are broadcast over their
+    cells (a sliding scale's are its map), averaged over scales and
+    multiplied with x; a skip is added and the relu taken.  og is the
+    output's gradient.  The module's running statistics are read, not
+    updated.
+
+    Returns (name, array) pairs in long double, named as the tests name
+    a site's arrays: out, x.grad, src.grad (given src), skip.grad (given
+    skip), each parameter's grad under its registry name, and each
+    running statistic after the step.
+    """
+    x, og = x.astype(LD), og.astype(LD)
+    source = x if src is None else src.astype(LD)
+    n = x.shape[0]
+    count = len(module.scales)
+    total = np.zeros_like(x)
+    scales = []
+    for s in module.scales:
+        ah, aw = _ld_bands(s.spec)
+        pooled = _ld_rows(ah @ source @ aw.T)
+        v, stats, backward = long_double_bottleneck(pooled, s.params, training)
+        if s.spec.strategy == "regional":           # each cell's gates over its positions
+            eh, ew = (ah > 0).T.astype(LD), (aw > 0).T.astype(LD)
+        else:
+            eh, ew = np.eye(s.spec.height, dtype=LD), np.eye(s.spec.width, dtype=LD)
+        total += eh @ _ld_map(v, n, ah.shape[0], aw.shape[0]) @ ew.T
+        scales.append((s, ah, aw, eh, ew, stats, backward))
+    mean = total / count
+    out = x * mean
+    if skip is not None:
+        out = np.maximum(out + skip.astype(LD), 0)
+        og = og * (out > 0)
+    gx = og * mean
+    gsrc = np.zeros_like(source)
+    grads, states = [], []
+    for s, ah, aw, eh, ew, stats, backward in scales:
+        gpooled, pgrads = backward(_ld_rows(eh.T @ (og * x / count) @ ew))
+        gsrc += ah.T @ _ld_map(gpooled, n, ah.shape[0], aw.shape[0]) @ aw
+        grads += [(name, g) for (name, _, _), g in zip(s.parameters(), pgrads)]
+        states += zip([f"{name}.{k}" for name, _ in s.norm_states() for k in ("mean", "var")],
+                      stats)
+    named = [("out", out)]
+    if src is None:
+        named.append(("x.grad", gx + gsrc))
+    else:
+        named += [("x.grad", gx), ("src.grad", gsrc)]
+    if skip is not None:
+        named.append(("skip.grad", og))
+    return named + grads + states
+
+
+def is_gradient(name: str) -> bool:
+    """Whether a site array named as long_double_site names them is a gradient."""
+    return name != "out" and not name.endswith(("mean", "var"))
+
+
+def long_double_errors(got, want):
+    """{name: (own, site)} for matching (name, array) lists: each array's largest
+    error against the long-double want, over that array's largest entry and
+    over the site's largest gradient entry."""
+    assert [name for name, _ in got] == [name for name, _ in want]
+    site = max(float(np.abs(b).max()) for name, b in want if is_gradient(name))
+    errs = {}
+    for (name, a), (_, b) in zip(got, want):
+        err = float(np.abs(a.astype(LD) - b).max())
+        own = float(np.abs(b).max())
+        errs[name] = (err / own if own else err, err / site)
+    return errs

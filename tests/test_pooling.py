@@ -1,5 +1,6 @@
 """Integral-image and coordinate-set pooling against brute-force oracles."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -580,7 +581,7 @@ def test_excite_matches_chain_oracle(count, training, dtype):
     # bound of the array's largest entry.  One row has zero variance in
     # training mode.  Two rows normalize to +-1 whatever u and w are, so
     # their gradients are residues of eps, near zero in exact arithmetic
-    # (float64 against long double: u's 1.1e-12 and w's 2.9e-12 of their own
+    # (float64 against long double: u's 7.2e-12 and w's 2.9e-12 of their own
     # largest entry here, the chain's 6.5e-13 and 2.4e-13), measured against
     # the largest gradient entry
     rng = np.random.default_rng(count)
@@ -685,3 +686,52 @@ def test_gate_rejects_mismatched_vectors():
         gate(x, [Tensor(np.zeros((1, 3, 4, 4)))], [CoordinateSetSpec("sliding", 2, 4, 4)])
     with pytest.raises(ValueError):                           # skip of another shape
         gate(x, [v], [spec], skip=Tensor(np.zeros((1, 3, 4, 2))))
+
+
+def backward_peak(op, og):
+    """Peak bytes traced while the one tape entry op() records runs its backward on og."""
+    with Tape() as tape:
+        op()
+    (_name, _out, bwd), = tape._entries
+    tracemalloc.start()
+    try:
+        bwd(og)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_excite_training_backward_forms_one_full_size_array():
+    # a stage-0 sliding scale at batch 32: dpre is the only (D, rows) array;
+    # projecting dpre off the pre-norm rows element-wise took a second one
+    # (2.06x), the r x r terms take (rows, r) arrays (1.19x)
+    rng = np.random.default_rng(43)
+    count, r, d = 32 * 32 * 32, 1, 16
+    u = Tensor(np.maximum(rng.standard_normal((count, r)), 0), dtype=np.float32)
+    w, gamma, beta = (Tensor(rng.standard_normal(shape), dtype=np.float32)
+                      for shape in ((d, r), (d,), (d,)))
+    og = rng.standard_normal((count, d)).astype(np.float32)
+    state = BNState(d, dtype=np.float32)
+    peak = backward_peak(lambda: excite(u, w, gamma, beta, state, True), og)
+    assert peak < 1.5 * d * count * og.itemsize
+
+
+@pytest.mark.parametrize("layout, bound", [("batch-major", 2.75), ("channel-major", 1.75)])
+def test_gate_skip_backward_hands_og_to_the_skip(layout, bound):
+    # a regional (1, 2, 4) residual tail at batch 32: x's gradient is formed
+    # in the mean map's buffer and the skip takes og itself, so one
+    # full-size product, og * x, is live beside og; copying og for the skip
+    # read 3.25x (2.25x channel-major).  _scale_sums copies a batch-major
+    # product channel-major
+    rng = np.random.default_rng(44)
+    shape = (32, 16, 32, 32)
+
+    def draw():
+        a = rng.standard_normal(shape)
+        return a if layout == "batch-major" else \
+            np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+    x, skip, og = Tensor(draw()), Tensor(draw()), draw()
+    specs = [CoordinateSetSpec("regional", k, 32, 32) for k in (1, 2, 4)]
+    vs = [Tensor(rng.uniform(0.1, 0.9, (32 * s.vector_count, 16))) for s in specs]
+    assert backward_peak(lambda: gate(x, vs, specs, skip), og) < bound * og.nbytes

@@ -13,7 +13,8 @@ from msar.recalibrate import (MultiScaleConfig, MultiScaleRecalibration,
                               RecalibrationParams, ScaleRecalibration, se_reference)
 from msar.tensor import BNState, Tape, Tensor, add, backward, cross_entropy, mul, sum_all
 from oracles import (bottleneck_chain, broadcast_weights, coordinate_avg_pool, expand_chain,
-                     scale, scale_forward, sigmoid)
+                     is_gradient, long_double_bottleneck, long_double_errors,
+                     long_double_site, scale, scale_forward, sigmoid)
 
 
 def naive_recalibration(x, params, spec):
@@ -270,11 +271,11 @@ GEOMETRIES = [
 ]
 
 
-def run_site(forward, geometry, training, d_in=4, d_out=4, separate=False, batch=3,
-             reduced=2, fill=None, dtype=np.float64):
-    """Forward and backward of one freshly built site: a (name, array) pair for
-    the output, every gradient and every running statistic.  A separate pool
-    source holds the value fill everywhere, if one is given."""
+def site_inputs(geometry, d_in=4, d_out=4, separate=False, batch=3, reduced=2, fill=None,
+                dtype=np.float64, skip=False):
+    """A freshly built site and its inputs: (module, x, pool source or None, the
+    loss weight, skip or None).  A separate pool source holds the value fill
+    everywhere, if one is given."""
     scales, strategy, width, height = geometry
     module = MultiScaleRecalibration(
         "m", MultiScaleConfig(scales=scales, strategy=strategy), d_in, d_out,
@@ -286,19 +287,38 @@ def run_site(forward, geometry, training, d_in=4, d_out=4, separate=False, batch
     if fill is not None:
         src.data[...] = fill
     weight = Tensor(rng.standard_normal(x.shape), dtype=dtype)
+    sk = Tensor(rng.standard_normal(x.shape), dtype=dtype) if skip else None
+    return module, x, src, weight, sk
+
+
+def run_site(forward, geometry, training, **kw):
+    """Forward and backward of one freshly built site (site_inputs): a (name,
+    array) pair for the output, every gradient and every running statistic.
+    With a skip, forward takes it as a fifth argument."""
+    module, x, src, weight, skip = site_inputs(geometry, **kw)
     with Tape() as tape:
-        out = forward(module, x, training, src)
+        out = forward(module, x, training, src, *([] if skip is None else [skip]))
         loss = sum_all(mul(out, weight))
     backward(tape, loss)
-    named = [("out", out.data), ("x.grad", x.grad)] + ([("src.grad", src.grad)] if separate else [])
+    named = [("out", out.data), ("x.grad", x.grad)]
+    named += [] if src is None else [("src.grad", src.grad)]
+    named += [] if skip is None else [("skip.grad", skip.grad)]
     named += [(name, t.grad) for name, t, _ in module.parameters()]
     named += [(f"{name}.{k}", getattr(st, k)) for name, st in module.norm_states()
               for k in ("mean", "var")]
     return named
 
 
-def fused(module, x, training, src):
-    return module.forward(x, training, pool_src=src)
+def long_double_run(geometry, training, **kw):
+    """long_double_site on the site and inputs run_site builds for the same arguments."""
+    module, x, src, weight, skip = site_inputs(geometry, **kw)
+    return long_double_site(module, x.data, weight.data, training,
+                            None if src is None else src.data,
+                            None if skip is None else skip.data)
+
+
+def fused(module, x, training, src, skip=None):
+    return module.forward(x, training, pool_src=src, skip=skip)
 
 
 def composed(module, x, training, src):
@@ -313,8 +333,7 @@ def assert_site_matches(got, want, residues=()):
     arithmetic, and is measured against the site's largest gradient entry
     instead."""
     assert [name for name, _ in got] == [name for name, _ in want]
-    grads = max(np.abs(b).max() for name, b in want
-                if name != "out" and not name.endswith(("mean", "var")))
+    grads = max(np.abs(b).max() for name, b in want if is_gradient(name))
     for (name, a), (_, b) in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         ref = grads if name.endswith(residues) else np.abs(b).max()
@@ -593,29 +612,6 @@ def test_collapsed_scale_bitwise_matches_regional_k1():
         assert got.tobytes() == want.tobytes()
 
 
-def long_double_k1_reduce_grad(src, p, og):
-    """reduce.weight grad of a training K=1 scale, in long double."""
-    w1, g1, b1, w2, g2, b2 = (t.data.astype(np.longdouble)
-                              for t in (p.w1, p.g1, p.b1, p.w2, p.g2, p.b2))
-
-    def norm(a, state):
-        inv = 1 / np.sqrt(a.var(axis=0) + np.longdouble(state.eps))
-        return (a - a.mean(axis=0)) * inv, inv
-
-    def norm_bwd(og, ahat, inv, g):
-        n = og.shape[0]
-        return g * inv / n * (n * og - og.sum(axis=0) - ahat * (og * ahat).sum(axis=0))
-
-    pooled = src.astype(np.longdouble).mean(axis=(2, 3))
-    ahat, inv1 = norm(pooled @ w1.T, p.n1)
-    u = np.maximum(ahat * g1 + b1, 0)
-    zhat, inv2 = norm(u @ w2.T, p.n2)
-    v = 1 / (1 + np.exp(-(zhat * g2 + b2)))
-    gz = norm_bwd(og * v * (1 - v), zhat, inv2, g2)
-    ga = norm_bwd((gz @ w2) * (ahat * g1 + b1 > 0), ahat, inv1, g1)
-    return ga.T @ pooled
-
-
 def test_collapsed_k1_grads_track_long_double():
     # with 3 images the batch statistics of a K=1 scale are nearly
     # degenerate; run as one cell, its reduce.weight grad stays accurate
@@ -628,9 +624,53 @@ def test_collapsed_k1_grads_track_long_double():
             v = scale_forward(s, Tensor(src), training=True)
             loss = sum_all(mul(v, Tensor(og)))
         backward(tape, loss)
-        want = long_double_k1_reduce_grad(src, s.params, og)
+        pooled = src.astype(np.longdouble).mean(axis=(2, 3))
+        _, _, bottleneck_backward = long_double_bottleneck(pooled, s.params, True)
+        want = bottleneck_backward(og.astype(np.longdouble))[1][0]
         got = s.params.w1.grad
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# -- the site against long double ---------------------------------------------
+
+LONG_DOUBLE_GEOMETRIES = GEOMETRIES + [g for g in SLIDING_GEOMETRIES if g not in GEOMETRIES]
+SITE_VARIANTS = {"self": {}, "wider-source": {"d_in": 6, "d_out": 3, "separate": True},
+                 "skip": {"skip": True}}
+geometry_id = "{0[1]}{0[0]}-{0[2]}x{0[3]}".format
+
+
+@pytest.mark.parametrize("variant", sorted(SITE_VARIANTS))
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("geometry", LONG_DOUBLE_GEOMETRIES, ids=geometry_id)
+def test_long_double_site_matches_float64_site(geometry, training, variant):
+    # the oracle itself: at 8 images every batch statistic is well
+    # conditioned, and the float64 site agrees with it within 1e-12 of each
+    # array's largest entry (measured at most 4.5e-14, a sliding
+    # reduce_norm.gamma)
+    kw = {"batch": 8, **SITE_VARIANTS[variant]}
+    errs = long_double_errors(run_site(fused, geometry, training, **kw),
+                              long_double_run(geometry, training, **kw))
+    assert max(own for own, _ in errs.values()) <= 1e-12, errs
+
+
+@pytest.mark.parametrize("variant", sorted(SITE_VARIANTS))
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("geometry", LONG_DOUBLE_GEOMETRIES, ids=geometry_id)
+def test_site_tracks_long_double(geometry, training, variant):
+    # 1-4 images at reduced widths 2 and 1: every gradient within 1e-12 of
+    # the site's largest gradient entry, and the output and running
+    # statistics within 1e-12 of their own largest entry.  Few rows make
+    # some gradients residues of eps (two rows normalize to +-1, a K=1
+    # scale's over two images), so a gradient is not measured against its
+    # own entries.  Measured at most 3.6e-14 (2 images) and 9.2e-15
+    # (3-4 images) of the largest gradient, 1.1e-13 of a running mean
+    for batch in (1, 2, 3, 4):
+        for reduced in (2, 1):
+            kw = {"batch": batch, "reduced": reduced, **SITE_VARIANTS[variant]}
+            errs = long_double_errors(run_site(fused, geometry, training, **kw),
+                                      long_double_run(geometry, training, **kw))
+            for name, (own, site) in errs.items():
+                assert (site if is_gradient(name) else own) <= 1e-12, (batch, reduced, name)
 
 
 def test_collapse_leaves_costs_at_paper_convention():

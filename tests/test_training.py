@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import msar.training
-from msar.blocks import NetworkSpec, StageSpec, build_network
+from msar.blocks import MsarSettings, NetworkSpec, StageSpec, build_network
 from msar.cli import main
 from msar.data import write_synthetic
 from msar.tensor import Tensor
@@ -188,6 +188,35 @@ def test_one_sample_tail_joins_previous_batch(n, sizes):
     xs, ys = make_split(n, 68)
     train(net, xs, ys, xs[:4], ys[:4], fixed_settings(epochs=1))
     assert seen == sizes
+
+
+@pytest.mark.parametrize("strategy", ["regional", "sliding"])
+def test_two_sample_tail_trains_finite_and_repeatable(strategy):
+    # only a one-sample tail joins the batch before it, so n = batch + 2
+    # trains a 2-image batch: its batch statistics normalize a K=1 scale's
+    # two rows to +-1, whose gradients are residues of eps.  The epoch's
+    # losses stay finite and its curve repeats bit for bit
+    spec = NetworkSpec(name="toy-msar", family="residual", input_size=8, classes=2,
+                       stem_width=4, stages=(StageSpec(4, 1, 1),),
+                       msar=MsarSettings((1, 2, 4), strategy))
+    xs, ys = make_split(6, 69)
+    curves, seen = [], []
+    for _ in range(2):
+        net = build_network(spec, seed=6)
+        forward = net.forward
+
+        def spy(x, training=False, recalibrate=True, forward=forward):
+            if training:
+                seen.append(x.shape[0])
+            return forward(x, training, recalibrate)
+
+        net.forward = spy
+        rows = train(net, xs, ys, xs[:4], ys[:4], fixed_settings(epochs=1))
+        assert all(np.isfinite(rows[0][key]) for key in ("train_loss", "test_loss"))
+        assert all(np.isfinite(t.data).all() for _, t, _ in net.parameters())
+        curves.append(render_curve(rows))
+    assert seen == [4, 2] * 2
+    assert curves[0] == curves[1]
 
 
 def test_augment_rejects_non_record_shapes():
