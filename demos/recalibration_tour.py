@@ -12,6 +12,7 @@ import numpy as np
 
 from msar import (MultiScaleConfig, MultiScaleRecalibration, RecalibrationParams,
                   Tensor, regional_pool, se_reference)
+from msar.recalibrate import _bottleneck
 
 rng = np.random.default_rng(7)
 
@@ -40,9 +41,10 @@ print("== multiple scales average their gate maps ==")
 multi = MultiScaleRecalibration("multi", MultiScaleConfig(scales=(1, 2, 4)),
                                 d_in=6, d_out=6, width=8, height=8,
                                 reduced=3, rng=rng)
-means = regional_pool(x, [s.spec for s in multi.scales])
-per_scale = [paint(s.gates(m, training=False).data, s.spec.k)
-             for s, m in zip(multi.scales, means)]
+# one pass pools every scale and applies its bottleneck's first map
+rows = regional_pool(x, [s.spec for s in multi.scales], [s.params.w1 for s in multi.scales])
+per_scale = [paint(_bottleneck(z, s.params, training=False).data, s.spec.k)
+             for s, z in zip(multi.scales, rows)]
 mean_map = sum(per_scale) / len(per_scale)
 combined = multi.forward(x, training=False)
 print(f"scales (1, 2, 4): max |combined - x * mean(per-scale maps)| = "

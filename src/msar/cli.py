@@ -65,7 +65,7 @@ def _resolve_path(path: str, key: str) -> str:
 
 
 def _load_split(cfg: ExperimentConfig, key: str):
-    path = _resolve_path(getattr(cfg, key), f"data.{key}")
+    path = _resolve_path(getattr(cfg, key), key.replace("_", ".", 1))
     classes = cfg.data_classes if cfg.data_classes else None
     images, labels = load_records(path, cfg.data_format, classes=classes,
                                   limit=cfg.data_limit)
@@ -226,11 +226,12 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     st17 = BNState(3)
     rows.append(("excite", lambda: excite(u17, w17, g17, b17, st17, True), [u17, w17, g17, b17]))
 
-    # one pass for K = 1, 2, 3 on a 7x5 lattice, read back through the gate
+    # one pass for K = 1, 2, 3 on a 7x5 lattice, read back through the gate (r = D)
     x16, g16 = t(2, 3, 5, 7), t(2, 3, 5, 7)
     gs16 = [CoordinateSetSpec("regional", k, 7, 5) for k in (1, 2, 3)]
+    ws16 = [t(3, 3) for _ in gs16]
     rows.append(("regional_pool",
-                 lambda: gate(g16, regional_pool(x16, gs16), gs16), [x16, g16]))
+                 lambda: gate(g16, regional_pool(x16, gs16, ws16), gs16), [x16, g16] + ws16))
 
     # the fused relu tails the nets run: norm -> relu, skip add, gated skip add
     x18, g18, b18 = t(3, 4, 5, 5), t(4), t(4)

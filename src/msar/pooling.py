@@ -25,7 +25,9 @@ regional_pool, which reads the map once: the coarse cells of every
 scale are unions of the cells of the scales' common refinement, so the
 map is summed over those (_refined_sums) and each scale's cell sums are
 taken from that small array by a product with the scale's 0/1
-membership of refinement cells.
+membership of refinement cells.  Each scale's cell means are then
+mapped by its bottleneck's first map w (r x D, no bias), so every pool
+op a site runs ends in that map and hands the bottleneck r-wide rows.
 Backward gathers every scale's gradient onto the refinement cells and
 expands the total into the map's gradient once (_expand).  When the
 refinement is one cell (a lone K=1 scale) the sum is the direct global
@@ -40,17 +42,17 @@ window is its own adjoint: backward runs the same band sums over
 og / window size, centred the same way.
 
 project_pool is the op a sliding recalibration scale runs first: it
-applies the bottleneck's first map w (r x D, no bias) to the map and
-then takes the sliding means, which equals pooling first and mapping
-after in exact arithmetic but runs the window sums over r channels
-instead of D.  excite, every scale's bottleneck second half, runs the
-last map, norm and logistic on r-wide reduced rows, taking the norm's
-moments from theirs.
+applies the bottleneck's first map w to the map and then takes the
+sliding means, which equals pooling first and mapping after in exact
+arithmetic but runs the window sums over r channels instead of D.
+excite, every scale's bottleneck second half, runs the last map, norm
+and logistic on r-wide reduced rows, taking the norm's moments from
+theirs.
 
 Pooled vectors and gates pass between ops as (N*M, C) rows, row
 n*M + m for cell (or pixel) m of image n, the (rows, channels) layout
-of the bottleneck's linear, batch_norm and excite.  excite writes its
-rows channel-major, so a sliding scale's are its (N, D, H, W) gate map.
+of the bottleneck's batch_norm and excite.  excite writes its rows
+channel-major, so a sliding scale's are its (N, D, H, W) gate map.
 
 gate() multiplies a feature map by the mean over scales of per-scale
 gates: a regional scale's rows broadcast over its cells, a sliding
@@ -382,26 +384,29 @@ def _scale_sums(g: np.ndarray, specs) -> list:
     return out
 
 
-def regional_pool(x: Tensor, specs) -> list:
-    """(N, D, H, W) -> each regional spec's (N*K*K, D) cell means, reading x once.
+def regional_pool(x: Tensor, specs, ws) -> list:
+    """(N, D, H, W) map and each regional spec's (r, D) weight w -> each
+    spec's (N*K*K, r) rows, its cell means @ w.T, reading x once.
 
     x is summed once over the cells of the specs' common refinement,
     and each spec's cell sums are taken from those (_scale_sums).
-    Backward gathers each scale's og / cell size onto the refinement
-    cells, sums that over the scales, and expands the sum into x's
-    gradient once.  Each output is a pool entry on the tape, preceded by
-    one more for the refinement cells, which collects their gradient and
-    does the expansion.  No closure reads the refinement sums, so that
-    entry holds a zero-stride stand-in of their shape, and the tape
-    keeps only the means, as a separate pool per scale would.
+    Backward takes each scale's means gradient og @ w (and w's, og.T @
+    means), gathers it / cell size onto the refinement cells, sums that
+    over the scales, and expands the sum into x's gradient once.  Each
+    output is a pool entry on the tape, preceded by one more for the
+    refinement cells, which collects their gradient and does the
+    expansion.  No closure reads the refinement sums, so that entry
+    holds a zero-stride stand-in of their shape.
     """
     n, d, height, width = x.shape
-    if not specs:
-        raise ValueError("regional_pool: no specs")
-    for spec in specs:
+    if not specs or len(ws) != len(specs):
+        raise ValueError(f"regional_pool: {len(ws)} weights for {len(specs)} specs")
+    for spec, w in zip(specs, ws):
         if spec.strategy != "regional" or (spec.height, spec.width) != (height, width):
             raise ValueError(f"regional_pool: {height}x{width} map does not match "
                              f"regional spec {spec}")
+        if w.ndim != 2 or w.shape[1] != d:
+            raise ValueError(f"regional_pool: weight {w.shape} does not map {d} channels")
     rows, cols = _refinement(specs)
     cells = Tensor(np.broadcast_to(np.zeros((), x.dtype),
                                    (n, len(rows) - 1, len(cols) - 1, d)))
@@ -411,13 +416,15 @@ def regional_pool(x: Tensor, specs) -> list:
 
     _emit("coordinate_avg_pool", cells, expand)
     outs = []
-    for spec, sums in zip(specs, _scale_sums(x.data, specs)):
+    for spec, w, sums in zip(specs, ws, _scale_sums(x.data, specs)):
         sizes, index = _cell_sizes(spec, x.dtype), _cell_index(spec, rows, cols)
+        means = (sums / sizes).reshape(-1, d)
 
-        def gather(og, sizes=sizes, index=index):
-            _accumulate(cells, (og.reshape(n, -1, d) / sizes)[:, index])
+        def gather(og, w=w, means=means, sizes=sizes, index=index):
+            _accumulate(w, og.T @ means)
+            _accumulate(cells, ((og @ w.data).reshape(n, -1, d) / sizes)[:, index])
 
-        outs.append(_emit("coordinate_avg_pool", Tensor((sums / sizes).reshape(-1, d)), gather))
+        outs.append(_emit("coordinate_avg_pool", Tensor(means @ w.data.T), gather))
     return outs
 
 

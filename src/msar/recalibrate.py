@@ -13,18 +13,19 @@ sliding scale only its gate rows.  A single regional scale with one cell
 collapses to the classic squeeze-and-excitation channel gate;
 se_reference implements that case directly for comparison.
 
-A site's regional scales pool together: one pooling.regional_pool
-reads the pool source once and returns every regional scale's cell
-means, and its backward writes the source's gradient once, however
-many scales there are.
+Every scale's pool op ends in its bottleneck's first (bias-free) map, so
+the bottleneck runs normalization, ReLU and one pooling.excite on every
+scale's reduced rows.  One pooling.regional_pool pools a site's regional
+scales: it reads the pool source once and writes its gradient once,
+however many scales there are.
 
 A sliding scale has a pooled vector per position, and both the window
-mean and the bottleneck's first (bias-free) map are linear, so it
-projects first and pools after (pooling.project_pool): the windows then
-run over the bottleneck's few reduced channels instead of the input's.
-Every scale's second half stays in the reduced space: one
-pooling.excite takes the expand norm's moments from the reduced rows
-and writes the gates with one thin GEMM and the logistic.
+mean and the bottleneck's first map are linear, so it projects first
+and pools after (pooling.project_pool): the windows then run over the
+bottleneck's few reduced channels instead of the input's.  Every
+scale's second half stays in the reduced space: one pooling.excite
+takes the expand norm's moments from the reduced rows and writes the
+gates with one thin GEMM and the logistic.
 A sliding window that covers the whole lattice from every position is
 the regional K=1 cell, and such a scale runs as that cell, so its
 bottleneck sees one row per image instead of H*W identical ones; the
@@ -88,11 +89,9 @@ class RecalibrationParams:
         self.n2 = BNState(d_out, dtype=dtype)
 
 
-def _bottleneck(rows: Tensor, p: RecalibrationParams, training: bool,
-                reduced: bool = False) -> Tensor:
-    """(rows, d_in) -> (rows, d_out) gates: reduce (unless the rows come
-    reduced), normalization, ReLU, then one excite."""
-    z = rows if reduced else linear(rows, p.w1)
+def _bottleneck(z: Tensor, p: RecalibrationParams, training: bool) -> Tensor:
+    """(rows, reduced) rows, already mapped by p.w1 (every pool op ends in
+    that map) -> (rows, d_out) gates: normalization, ReLU, then one excite."""
     u = batch_norm(z, p.g1, p.b1, p.n1, training, relu=True)
     return excite(u, p.w2, p.g2, p.b2, p.n2, training)
 
@@ -103,7 +102,7 @@ def se_reference(x: Tensor, params: RecalibrationParams, training: bool) -> Tens
     The (N, D) gate vectors scale x by a numpy broadcast of their own, a
     path apart from gate()'s cell expansion.  Recorded on the tape as mul.
     """
-    v = _bottleneck(global_avg_pool(x), params, training)
+    v = _bottleneck(linear(global_avg_pool(x), params.w1), params, training)
     g = v.data.reshape(v.shape + (1, 1))
     out = Tensor(x.data * g)
 
@@ -129,17 +128,6 @@ class ScaleRecalibration:
         self.name = name
         self.spec = spec
         self.params = RecalibrationParams(d_in, d_out, reduced, rng, dtype)
-
-    def gates(self, pooled: Tensor, training: bool) -> Tensor:
-        """This scale's (N*M, d_out) gates, in (0, 1), from its pooled (N*M, .)
-        rows, row n*M + m for cell (or pixel) m of image n, as gate() takes them.
-
-        A regional scale's rows are its d_in-wide cell means, which the
-        bottleneck's first map reduces; a sliding scale's are already
-        reduced (project_pool).
-        """
-        return _bottleneck(pooled, self.params, training,
-                           reduced=self.spec.strategy == "sliding")
 
     def parameters(self):
         p = self.params
@@ -175,18 +163,19 @@ class MultiScaleRecalibration:
         """Multiply x by the mean of the per-scale gates.
 
         pool_src defaults to x itself.  One regional_pool takes every
-        regional scale's cell means from a single pass over it; each
-        sliding scale projects and pools it (project_pool).  Every
-        scale's gates are computed first, then one gate op combines
-        them and multiplies; given a residual skip, that op also adds
-        it and takes the relu.
+        regional scale's reduced cell means from a single pass over it;
+        each sliding scale projects and pools it (project_pool).  Each
+        scale's rows go through _bottleneck, then one gate op combines
+        the gates and multiplies; given a residual skip, that op also
+        adds it and takes the relu.
         """
         src = x if pool_src is None else pool_src
-        cells = [s.spec for s in self.scales if s.spec.strategy == "regional"]
-        means = iter(regional_pool(src, cells) if cells else ())
+        cells = [s for s in self.scales if s.spec.strategy == "regional"]
+        means = iter(regional_pool(src, [s.spec for s in cells],
+                                   [s.params.w1 for s in cells]) if cells else ())
         pooled = [next(means) if s.spec.strategy == "regional"
                   else project_pool(src, s.params.w1, s.spec) for s in self.scales]
-        return gate(x, [s.gates(p, training) for s, p in zip(self.scales, pooled)],
+        return gate(x, [_bottleneck(z, s.params, training) for s, z in zip(self.scales, pooled)],
                     [s.spec for s in self.scales], skip)
 
     def parameters(self):

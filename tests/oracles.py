@@ -23,6 +23,7 @@ import numpy as np
 from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid, coordinate_set,
                           _sliding_box_adjoint, _sliding_box_means, project_pool,
                           regional_pool)
+from msar.recalibrate import _bottleneck
 from msar.tensor import Tensor, _accumulate, _emit, _logistic, batch_norm, linear
 
 
@@ -117,11 +118,12 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
 def scale_forward(s, pool_src: Tensor, training: bool) -> Tensor:
     """(N*M, d_out) gates of one ScaleRecalibration alone, in (0, 1), from an
     (N, d_in, H, W) source, row n*M + m for cell (or pixel) m of image n, as
-    gate() takes them."""
+    gate() takes them: the scale's own pool op, then its bottleneck."""
     if s.spec.strategy == "sliding":
-        return s.gates(project_pool(pool_src, s.params.w1, s.spec), training)
-    means, = regional_pool(pool_src, [s.spec])
-    return s.gates(means, training)
+        z = project_pool(pool_src, s.params.w1, s.spec)
+    else:
+        z, = regional_pool(pool_src, [s.spec], [s.params.w1])
+    return _bottleneck(z, s.params, training)
 
 
 # -- a whole site in long double ---------------------------------------------

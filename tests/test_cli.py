@@ -135,6 +135,18 @@ def test_missing_data_leaves_no_partial_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["data.train_path", "data.test_path"])
+def test_missing_data_path_names_its_key(toy_setup, key, capsys):
+    # the diagnostic names the config key, as the config file spells it
+    cfg, out = toy_setup
+    lines = [line for line in cfg.read_text().splitlines() if not line.startswith(key)]
+    cfg.write_text("\n".join(lines) + "\n")
+    for argv in (["train", str(cfg)], ["eval", str(cfg), str(out / "weights.bin")]):
+        assert main(argv) == 1
+        assert f"error: {key} is not set in the config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_class_count_mismatch_diagnostic(tmp_path, capsys):
     train_bin = tmp_path / "t.bin"
     write_synthetic(str(train_bin), per_class=2, classes=(0, 1), seed=1)

@@ -219,24 +219,26 @@ def test_regional_pool_bitwise_matches_slice_oracle(dtype, height, width, scales
                                             (6, 6, 1), (1, 1, 1)])
 def test_region_avg_pool_is_bitwise_the_sites_pool(dtype, height, width, k):
     # criterion 3 checks region_avg_pool against rect_sum, so it has to be
-    # the pool the sites run, bit for bit
+    # the pool the sites run, bit for bit; the sites' rows are the means
+    # mapped by a weight, and means @ eye(D).T is the means themselves
     spec = CoordinateSetSpec("regional", k, width, height)
     rng = np.random.default_rng(height * 100 + width * 10 + k)
     x = (rng.standard_normal((5, height, width)) + 2.0).astype(dtype)
     got = region_avg_pool(Tensor(x), spec)
-    want = regional_pool(Tensor(x[None]), [spec])[0].data
+    want = regional_pool(Tensor(x[None]), [spec], [Tensor(np.eye(5), dtype=dtype)])[0].data
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
 
-def pooled_with_grad(pool, x, ogs):
-    """pool's (N*M_s, D) outputs for x, and x.grad when output s gets og s."""
-    x = Tensor(x)
+def pooled_with_grad(pool, x, ogs, ws):
+    """pool(x, ws)'s (N*M_s, .) outputs, then x.grad and each w's grad when
+    output s gets og s; x and ws are arrays, wrapped in fresh leaves."""
+    x, ws = Tensor(x), [Tensor(w) for w in ws]
     with Tape() as tape:
-        ys = pool(x)
+        ys = pool(x, ws)
         loss = reduce(add, [sum_all(mul(y, Tensor(og))) for y, og in zip(ys, ogs)])
     backward(tape, loss)
-    return [y.data for y in ys] + [x.grad]
+    return [y.data for y in ys] + [x.grad] + [w.grad for w in ws]
 
 
 @st.composite
@@ -259,19 +261,24 @@ FLOAT32_SITE_BOUND = 1e-6
 @example(site=(3, 12, (1, 2, 3)), channel_major=False)     # one-pixel rows
 @example(site=(1, 1, (1,)), channel_major=False)           # a one-pixel lattice
 def test_regional_pool_matches_per_scale_oracle(site, channel_major):
-    # every scale's means and x.grad against one coordinate_avg_pool per scale;
-    # a lone K=1 scale is a direct sum either way, so bitwise
+    # every scale's mapped means, x.grad and each weight's grad against one
+    # coordinate_avg_pool and one linear per scale; a lone K=1 scale is a
+    # direct sum either way, so bitwise
     height, width, scales = site
     specs = [CoordinateSetSpec("regional", k, width, height) for k in scales]
     rng = np.random.default_rng(height * 100 + width)
     x = rng.standard_normal((3, 4, height, width)) + 2.0
     if channel_major:
         x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    ogs = [rng.standard_normal((3 * s.vector_count, 4)) for s in specs]
+    ws = [rng.standard_normal((2, 4)) for _ in specs]
+    ogs = [rng.standard_normal((3 * s.vector_count, 2)) for s in specs]
     for dtype, bound in ((np.float64, 1e-12), (np.float32, FLOAT32_SITE_BOUND)):
-        xd, ogd = x.astype(dtype), [og.astype(dtype) for og in ogs]
-        got = pooled_with_grad(lambda t: regional_pool(t, specs), xd, ogd)
-        want = pooled_with_grad(lambda t: [coordinate_avg_pool(t, s) for s in specs], xd, ogd)
+        xd, ogd, wd = x.astype(dtype), [og.astype(dtype) for og in ogs], \
+            [w.astype(dtype) for w in ws]
+        got = pooled_with_grad(lambda t, wt: regional_pool(t, specs, wt), xd, ogd, wd)
+        want = pooled_with_grad(
+            lambda t, wt: [linear(coordinate_avg_pool(t, s), w) for s, w in zip(specs, wt)],
+            xd, ogd, wd)
         for a, b in zip(got, want):
             assert a.dtype == dtype and a.shape == b.shape
             if scales == (1,):
@@ -282,7 +289,8 @@ def test_regional_pool_matches_per_scale_oracle(site, channel_major):
 
 def test_regional_site_float32_tracks_float64_at_workload_lattice():
     # a (1, 2, 4) site on a stage-0 lattice, past the 12x12 the fuzzing
-    # reaches: regional_pool's means, then the gate's backward over og * x
+    # reaches: regional_pool's means (identity weights, so the rows are the
+    # means themselves), then the gate's backward over og * x
     specs = [CoordinateSetSpec("regional", k, 32, 32) for k in (1, 2, 4)]
     rng = np.random.default_rng(36)
     x = (rng.standard_normal((32, 48, 32, 32)) + 3.0).astype(np.float32)
@@ -292,8 +300,9 @@ def test_regional_site_float32_tracks_float64_at_workload_lattice():
     got = []
     for dtype in (np.float32, np.float64):
         xt, vt = Tensor(x.astype(dtype)), [Tensor(v.astype(dtype)) for v in vs]
+        eye = [Tensor(np.eye(48), dtype=dtype) for _ in specs]
         with Tape() as tape:
-            means = regional_pool(xt, specs)
+            means = regional_pool(xt, specs, eye)
             loss = reduce(add, [sum_all(mul(y, Tensor(g.astype(dtype))))
                                 for y, g in zip(means, ogs)])
             loss = add(loss, sum_all(mul(gate(xt, vt, specs), Tensor(og.astype(dtype)))))
@@ -305,12 +314,18 @@ def test_regional_site_float32_tracks_float64_at_workload_lattice():
 
 
 def test_regional_pool_rejects_sliding_and_mismatched_specs():
-    x = Tensor(np.zeros((1, 3, 6, 6)))
+    x, w = Tensor(np.zeros((1, 3, 6, 6))), Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        regional_pool(x, [CoordinateSetSpec("sliding", 2, 6, 6)])
+        regional_pool(x, [CoordinateSetSpec("sliding", 2, 6, 6)], [w])
     with pytest.raises(ValueError):
         regional_pool(x, [CoordinateSetSpec("regional", 2, 6, 6),
-                          CoordinateSetSpec("regional", 2, 7, 6)])
+                          CoordinateSetSpec("regional", 2, 7, 6)], [w, w])
+    # one (r, D) weight per spec, each reading the map's 3 channels
+    specs = [CoordinateSetSpec("regional", k, 6, 6) for k in (1, 2)]
+    assert [z.shape for z in regional_pool(x, specs, [w, w])] == [(1, 2), (4, 2)]
+    for ws in ([], [w], [w, w, w], [w, Tensor(np.zeros((2, 4)))], [w, Tensor(np.zeros(3))]):
+        with pytest.raises(ValueError, match="regional_pool:"):
+            regional_pool(x, specs, ws)
 
 
 def test_region_avg_pool_records_nothing():
@@ -513,12 +528,16 @@ def test_project_pool_rejects_regional_and_mismatched_weight():
         project_pool(x, Tensor(np.zeros((2, 4))), CoordinateSetSpec("sliding", 2, 6, 6))
 
 
-LAYOUT_POOLS = {
-    "regional": lambda x, w: [coordinate_avg_pool(x, CoordinateSetSpec("regional", 3, 9, 7))],
-    "sliding": lambda x, w: [coordinate_avg_pool(x, CoordinateSetSpec("sliding", 3, 9, 7))],
-    "project_pool": lambda x, w: [project_pool(x, w, CoordinateSetSpec("sliding", 2, 9, 7))],
-    "regional_pool": lambda x, w: regional_pool(
-        x, [CoordinateSetSpec("regional", k, 9, 7) for k in (1, 2, 3)]),
+def _layout_spec(strategy, k):
+    return CoordinateSetSpec(strategy, k, 9, 7)
+
+
+LAYOUT_POOLS = {     # name: (count of (2, D) weights the pool maps by, pool)
+    "regional": (0, lambda x, ws: [coordinate_avg_pool(x, _layout_spec("regional", 3))]),
+    "sliding": (0, lambda x, ws: [coordinate_avg_pool(x, _layout_spec("sliding", 3))]),
+    "project_pool": (1, lambda x, ws: [project_pool(x, ws[0], _layout_spec("sliding", 2))]),
+    "regional_pool": (3, lambda x, ws: regional_pool(
+        x, [_layout_spec("regional", k) for k in (1, 2, 3)], ws)),
 }
 
 
@@ -528,10 +547,11 @@ def test_pools_do_not_depend_on_input_layout(name):
     # writes the latter) pool and backpropagate to the same bits
     rng = np.random.default_rng(35)
     x = rng.standard_normal((3, 5, 7, 9)) + 2.0
-    w, pool = Tensor(rng.standard_normal((2, 5))), LAYOUT_POOLS[name]
-    ogs = [rng.standard_normal(y.shape) for y in pool(Tensor(x), w)]
+    count, pool = LAYOUT_POOLS[name]
+    ws = [rng.standard_normal((2, 5)) for _ in range(count)]
+    ogs = [rng.standard_normal(y.shape) for y in pool(Tensor(x), [Tensor(w) for w in ws])]
     channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    got = [pooled_with_grad(lambda t: pool(t, w), layout, ogs) for layout in (x, channel_major)]
+    got = [pooled_with_grad(pool, layout, ogs, ws) for layout in (x, channel_major)]
     for a, b in zip(*got):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

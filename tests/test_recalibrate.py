@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msar.blocks import MsarSettings, build_network, resnet_cifar
+from msar.blocks import MsarSettings, build_network, densenet_cifar, resnet_cifar
 from msar.costs import report
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import CoordinateSetSpec, coordinate_set, excite, gate, project_pool
@@ -426,49 +426,56 @@ def test_float32_sliding_network_stays_float32():
             assert t.grad is not None and t.grad.dtype == np.float32, (strategy, name)
 
 
-BOTTLENECK_OPS = ["linear", "batch_norm", "gate"]
+BOTTLENECK_OPS = ["batch_norm", "gate"]
 
 
 @pytest.mark.parametrize("strategy", ["regional", "sliding"])
 def test_site_records_pools_bottlenecks_and_one_gate(strategy):
     # a (1, 2, 4) site on 8x8: regional_pool's refinement entry and one per
-    # regional scale, the sliding scales' project_pools, each scale's
-    # bottleneck on its rows, ending in excite (a gate entry), one gate; the
-    # K=1 sliding scale runs as the regional cell, and no op reshapes pooled
-    # rows or gates
+    # regional scale, the sliding scales' project_pools, each pool ending in
+    # the reduce map, each scale's bottleneck on its reduced rows, ending in
+    # excite (a gate entry), one gate; the K=1 sliding scale runs as the
+    # regional cell, and no op reshapes pooled rows or gates
     module = MultiScaleRecalibration("m", MultiScaleConfig((1, 2, 4), strategy), 4, 4, 8, 8,
                                      reduced=2, rng=np.random.default_rng(23))
     x = Tensor(np.random.default_rng(24).standard_normal((2, 4, 8, 8)))
     with Tape() as tape:
         module.forward(x, training=True)
     names = [name for name, _, _ in tape._entries]
-    if strategy == "regional":
-        want = ["coordinate_avg_pool"] * 4 + BOTTLENECK_OPS * 3 + ["gate"]
-    else:
-        want = (["coordinate_avg_pool"] * 2 + ["coordinate_avg_pool"] * 2 + BOTTLENECK_OPS
-                + ["batch_norm", "gate"] * 2 + ["gate"])
-    assert names == want
-    # pooled vectors and regional gates are (N*M, .) rows
+    assert names == ["coordinate_avg_pool"] * 4 + BOTTLENECK_OPS * 3 + ["gate"]
+    # pooled vectors, reduced to 2 channels, and gates are (N*M, .) rows
     pooled = [out.shape for name, out, _ in tape._entries if name == "coordinate_avg_pool"]
     gates = [out.shape for name, out, _ in tape._entries[:-1] if name == "gate"]
     if strategy == "regional":
-        assert pooled[1:] == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
+        assert pooled[1:] == [(2, 2), (2 * 4, 2), (2 * 16, 2)]
         assert gates == [(2, 4), (2 * 4, 4), (2 * 16, 4)]
     else:
-        assert pooled[1:] == [(2, 4), (2 * 64, 2), (2 * 64, 2)]
+        assert pooled[1:] == [(2, 2), (2 * 64, 2), (2 * 64, 2)]
         assert gates == [(2, 4), (2 * 64, 4), (2 * 64, 4)]
 
 
-@pytest.mark.parametrize("strategy, entries", [("regional", 169), ("sliding", 151)])
-def test_resnet20_msar_step_records_no_reshape(strategy, entries):
-    spec = resnet_cifar(20, msar=MsarSettings(scales=(1, 2, 4), strategy=strategy))
-    net = build_network(spec, seed=25)
+STEP_NETS = {
+    "resnet20-regional": lambda: resnet_cifar(20, msar=MsarSettings((1, 2, 4), "regional")),
+    "resnet20-sliding": lambda: resnet_cifar(20, msar=MsarSettings((1, 2, 4), "sliding")),
+    "densenet40-regional": lambda: densenet_cifar(40, 12, msar=MsarSettings((1, 2, 4))),
+}
+
+
+@pytest.mark.parametrize("net, entries", [("resnet20-regional", 142),
+                                          ("resnet20-sliding", 142),
+                                          ("densenet40-regional", 299)])
+def test_msar_step_records_no_reshape(net, entries):
+    # the three benchmarked nets' tape entries per training step, which
+    # do not depend on the batch size
+    net = build_network(STEP_NETS[net](), seed=25)
     x = Tensor(np.random.default_rng(26).standard_normal((2, 3, 32, 32)))
     with Tape() as tape:
         cross_entropy(net.forward(x, training=True), np.array([1, 7]))
     names = [name for name, _, _ in tape._entries]
-    # every scale's expand half is one excite, recorded as gate
+    # every scale's expand half is one excite, recorded as gate, and its
+    # reduce map ends its pool op: the head's classifier is the one linear
     assert "reshape" not in names and "sigmoid" not in names
+    assert [i for i, name in enumerate(names) if name == "linear"] == [len(names) - 2]
     assert len(names) == entries
 
 

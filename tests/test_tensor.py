@@ -847,6 +847,7 @@ def _slot_cases():
     ur = leaf(2 * 4, 2)
     est = BNState(3)
     est.mean[...], est.var[...] = rng.standard_normal(3), rng.uniform(0.5, 1.5, 3)
+    rw = [leaf(3, 3) for _ in reg]          # D-wide rows, as the gate reads them
     labels = np.array([0, 3, 1, 5, 2])
     cases = [
         ("add", [x, y], lambda: add(x, y)),
@@ -892,10 +893,10 @@ def _slot_cases():
                                        for _ in sld], sld)),
         ("excite-regional-gate", [x, ur],
          lambda: msar.pooling.gate(x, [msar.pooling.excite(ur, ew, egam, ebet, est, True)], reg[1:2])),
-        ("regional_pool", [x, y],
-         lambda: msar.pooling.gate(y, msar.pooling.regional_pool(x, reg), reg)),
-        ("regional_pool-self", [x],
-         lambda: msar.pooling.gate(x, msar.pooling.regional_pool(x, reg), reg)),
+        ("regional_pool", [x, y] + rw,
+         lambda: msar.pooling.gate(y, msar.pooling.regional_pool(x, reg, rw), reg)),
+        ("regional_pool-self", [x] + rw,
+         lambda: msar.pooling.gate(x, msar.pooling.regional_pool(x, reg, rw), reg)),
     ]
     for name, case in LAYER_CASES.items():
         n, c, f, h, wd, k, stride, pad = case
