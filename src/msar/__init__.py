@@ -9,7 +9,7 @@ front end (train / eval / analyze / gradcheck).
 
 from .tensor import (Tape, Tensor, backward, relu, conv2d, linear,
                      batch_norm, BNState, cross_entropy, global_avg_pool,
-                     concat_channels)
+                     extend_channels)
 from .pooling import (CoordinateSetSpec, build_sat, rect_sum, coordinate_set,
                       region_avg_pool, regional_pool)
 from .recalibrate import (RecalibrationParams, MultiScaleConfig, se_reference,

@@ -30,8 +30,8 @@ import numpy as np
 
 from .data import IMAGE_SHAPE
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
-from .tensor import (BNState, Tensor, add, batch_norm, concat_channels,
-                     conv2d, global_avg_pool, avg_pool2d, linear, max_pool2d)
+from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm, conv2d,
+                     extend_channels, global_avg_pool, linear, max_pool2d)
 
 FAMILIES = ("plain", "residual", "dense", "grouped")
 STAGE_MODES = ("multi", "single")
@@ -332,11 +332,19 @@ class DenseStep(Block):
     Recalibration gates the freshly produced features before they are
     concatenated onto the running map; the pooled context comes from the
     step's accumulated input map (multi stage-mode) or from the new
-    features themselves (single stage-mode).
+    features themselves (single stage-mode).  width is the stage's final
+    width: the stage's first step copies its input into one channel-major
+    buffer that wide, and every step writes only its growth channels
+    after its input's (extend_channels), so a stage makes no per-step
+    copy of its accumulated map.
     """
 
+    def __init__(self, name, c_in, growth, size, width, msar, rng, dtype):
+        super().__init__(name, c_in, growth, size, width, msar, rng, dtype)
+        self.width = width
+
     @staticmethod
-    def layers(name, c_in, growth, size, msar):
+    def layers(name, c_in, growth, size, width, msar):
         inner = BOTTLENECK_FACTOR * growth
         layers = [_norm(f"{name}.norm1", c_in, size),
                   Layer(f"{name}.conv1", "conv", c_in, inner, size),
@@ -354,7 +362,7 @@ class DenseStep(Block):
         if self.recal is not None and recalibrate:
             src = x if self.msar.stage_mode == "multi" else y
             y = self.recal.forward(y, training, pool_src=src)
-        return concat_channels(x, y)
+        return extend_channels(x, y, self.width)
 
 
 class PlainBlock(Block):
@@ -413,9 +421,10 @@ def plan(spec: NetworkSpec):
         size = (size + 2 - 3) // 2 + 1
     width = spec.stem_width
     for i, stage in enumerate(spec.stages):
+        final = width + stage.blocks * spec.growth
         for j in range(stage.blocks):
             if dense:
-                yield DenseStep, f"stage{i}.step{j}", (width, spec.growth, size)
+                yield DenseStep, f"stage{i}.step{j}", (width, spec.growth, size, final)
                 width += spec.growth
                 continue
             stride = stage.stride if j == 0 else 1

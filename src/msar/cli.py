@@ -22,8 +22,8 @@ from .data import IMAGE_SHAPE, channel_stats, load_records, normalize
 from .gradcheck import TOLERANCE, check_gradients
 from .pooling import CoordinateSetSpec, excite, gate, project_pool, regional_pool
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
-from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm,
-                     concat_channels, conv2d, cross_entropy, global_avg_pool,
+from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm, conv2d,
+                     cross_entropy, extend_channels, global_avg_pool,
                      linear, max_pool2d, mul, relu, sum_all)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
@@ -169,8 +169,15 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
 
     x1, w1, b1 = t(5, 6), t(4, 6), t(4)
     rows.append(("linear", lambda: linear(x1, w1, b1), [x1, w1, b1]))
-    xc, yc = t(2, 3, 4, 4), t(2, 2, 4, 4)
-    rows.append(("concat_channels", lambda: concat_channels(xc, yc), [xc, yc]))
+    # a stage 7 wide: the first step starts its buffer and the second
+    # extends it; a second step on the same input starts a new buffer
+    xc, yc, zc, uc = t(2, 3, 4, 4), t(2, 2, 4, 4), t(2, 2, 4, 4), t(2, 2, 4, 4)
+
+    def stage():
+        s = extend_channels(xc, yc, 7)
+        return add(extend_channels(s, zc, 7), extend_channels(s, uc, 7))
+
+    rows.append(("extend_channels", stage, [xc, yc, zc, uc]))
 
     x3, k3 = t(2, 3, 6, 6), t(4, 3, 3, 3)
     rows.append(("conv2d", lambda: conv2d(x3, k3, stride=1, pad=1), [x3, k3]))

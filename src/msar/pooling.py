@@ -271,7 +271,7 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     the sliding means of x mapped by w in exact arithmetic, but the
     window sums run over r channels instead of D.  The projection is one
     GEMM over x's (D, N*H*W) channel-major view, which is free for the
-    outputs of conv2d, batch_norm and concat_channels.  Recorded on the
+    outputs of conv2d, batch_norm and extend_channels.  Recorded on the
     tape under the pool name regional_pool's entries carry.
     """
     n, d, height, width = x.shape

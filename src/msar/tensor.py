@@ -24,12 +24,14 @@ boundaries.  Convolution copies its input once into zero-padded,
 channel-major stride phases and stacks the thinner side's shifted tap
 reads one cache-sized tile at a time, so no array kh*kw times the input
 is ever built; its output is an (N, F, H, W) view of channel-major
-(F, N, H, W) memory, and elementwise ops keep that layout.  Channel
-concatenation and batch normalization write channel-major too, so
-batch_norm's per-channel reductions run over (C, N*H*W) rows of its
-input without a copy.  Max pooling reads its windows through a strided
-view of the padded input.  All reductions use numpy's fixed evaluation
-order, so a forward pass is bitwise deterministic for identical inputs.
+(F, N, H, W) memory, and elementwise ops keep that layout.  Batch
+normalization writes channel-major too, and a dense stage's steps
+extend one channel-major (C_final, N, H, W) buffer (extend_channels),
+each step's result a channel-prefix view of it, so batch_norm's
+per-channel reductions run over (C, N*H*W) rows of its input without a
+copy.  Max pooling reads its windows through a strided view of the
+padded input.  All reductions use numpy's fixed evaluation order, so a
+forward pass is bitwise deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -208,22 +210,52 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", out, bwd)
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis (axis 1).
+class _Channels:
+    """Channel-major (width, N, ...) storage and how many of its leading
+    channels have been written."""
 
-    The result is a view of channel-major (C_a + C_b, N, ...) memory, so
-    a following batch_norm or projection reads its channel rows as is.
+    __slots__ = ("buf", "fill")
+
+    def __init__(self, buf, fill):
+        self.buf, self.fill = buf, fill
+
+
+class _ChannelPrefix(Tensor):
+    """A Tensor whose data is the first channels of a _Channels storage."""
+
+    __slots__ = ("storage",)
+
+
+def extend_channels(a: Tensor, b: Tensor, width: int) -> Tensor:
+    """a's channels followed by b's (axis 1), in storage `width` channels wide.
+
+    The result is an (N, C_a + C_b, ...) channel-prefix view of
+    channel-major (width, N, ...) memory, the layout a concatenation
+    writes, so a following batch_norm or projection reads its channel
+    rows as is.  A dense stage passes its final width, and each step
+    extends the previous step's result: when a is an earlier result whose
+    storage is filled exactly up to it, b is written after it and a is
+    not copied.  Any other a (a stage's input, or a prefix some call has
+    extended already) is copied once into new storage.  Only channels no
+    Tensor exposes yet are written, so earlier results never change.
+    Recorded on the tape as concat_channels.
     """
     if a.ndim != b.ndim or a.ndim < 2:
-        raise ValueError(f"concat_channels: rank mismatch {a.shape} vs {b.shape}")
+        raise ValueError(f"extend_channels: rank mismatch {a.shape} vs {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ValueError(f"concat_channels: incompatible shapes {a.shape} vs {b.shape}")
-    split = a.shape[1]
-    buf = np.empty((split + b.shape[1], a.shape[0]) + a.shape[2:],
-                   np.result_type(a.data, b.data))
-    buf[:split] = np.moveaxis(a.data, 1, 0)
-    buf[split:] = np.moveaxis(b.data, 1, 0)
-    out = Tensor(np.moveaxis(buf, 0, 1))
+        raise ValueError(f"extend_channels: incompatible shapes {a.shape} vs {b.shape}")
+    split, end = a.shape[1], a.shape[1] + b.shape[1]
+    if width < end:
+        raise ValueError(f"extend_channels: {end} channels do not fit in width {width}")
+    dt = np.result_type(a.data, b.data)
+    st = getattr(a, "storage", None)
+    if st is None or st.fill != split or len(st.buf) < end or st.buf.dtype != dt:
+        st = _Channels(np.empty((width, a.shape[0]) + a.shape[2:], dt), split)
+        st.buf[:split] = np.moveaxis(a.data, 1, 0)
+    st.buf[split:end] = np.moveaxis(b.data, 1, 0)
+    st.fill = end
+    out = _ChannelPrefix(np.moveaxis(st.buf[:end], 0, 1))
+    out.storage = st
 
     def bwd(og):
         _accumulate(a, og[:, :split])
@@ -544,7 +576,7 @@ class BNState:
 def _channel_rows(a):
     """(C, M) view of a's channel axis (axis 1) against all the others.
 
-    Free for channel-major memory (conv2d and concat_channels outputs)
+    Free for channel-major memory (conv2d and extend_channels outputs)
     and for a (rows, C) matrix, whose rows come back as a transposed view;
     only a batch-major map of rank 3 or more is copied by the reshape.
     """

@@ -1,4 +1,11 @@
-"""The per-scale recalibration path, kept as the oracle of the ops the nets run.
+"""The paths the nets' ops replaced, kept as their oracles.
+
+A dense step used to concatenate its input and its new features into
+fresh storage (concat_channels); the nets now extend one buffer per
+stage with tensor.extend_channels, which must give the same values,
+layout and gradients.
+
+The rest is the per-scale recalibration path.
 
 A net pools each site's regional scales with one pooling.regional_pool
 and its sliding scales with pooling.project_pool, runs every scale's
@@ -25,6 +32,30 @@ from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid, coor
                           regional_pool)
 from msar.recalibrate import _bottleneck
 from msar.tensor import Tensor, _accumulate, _emit, _logistic, batch_norm, linear
+
+
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+    """Concatenate along the channel axis (axis 1) into fresh storage.
+
+    The result is a view of channel-major (C_a + C_b, N, ...) memory, so
+    a following batch_norm or projection reads its channel rows as is.
+    """
+    if a.ndim != b.ndim or a.ndim < 2:
+        raise ValueError(f"concat_channels: rank mismatch {a.shape} vs {b.shape}")
+    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
+        raise ValueError(f"concat_channels: incompatible shapes {a.shape} vs {b.shape}")
+    split = a.shape[1]
+    buf = np.empty((split + b.shape[1], a.shape[0]) + a.shape[2:],
+                   np.result_type(a.data, b.data))
+    buf[:split] = np.moveaxis(a.data, 1, 0)
+    buf[split:] = np.moveaxis(b.data, 1, 0)
+    out = Tensor(np.moveaxis(buf, 0, 1))
+
+    def bwd(og):
+        _accumulate(a, og[:, :split])
+        _accumulate(b, og[:, split:])
+
+    return _emit("concat_channels", out, bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:

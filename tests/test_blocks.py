@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import msar.blocks
+import oracles
 from msar.blocks import (DenseStep, MsarSettings, NetworkSpec, ResidualBlock, StageSpec,
                          Stem, build_network, densenet_cifar, dense_reduced,
                          residual_reduced, resnet_cifar, resnet_ilsvrc, resnext50_ilsvrc)
@@ -52,21 +54,30 @@ def test_untaped_stem_forward_peaks_in_its_convolution():
     assert _traced_peak(stem.forward, x, False) <= conv_peak + map_bytes // 4
 
 
-def _held_maps(block, x, min_bytes):
-    """Distinct buffers of at least min_bytes that one training forward's
-    tape holds: each entry's output and closure cells, views by their base."""
-    with Tape() as tape:
-        block.forward(x, training=True)
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _tape_buffers(tape):
+    """{id: array} of the distinct buffers a tape holds: each entry's
+    output and closure cells, views by their base."""
     bases = {}
     for _name, out, fn in tape._entries:
         cells = [c.cell_contents for c in fn.__closure__ or ()]
         for a in [out.data] + [c.data if isinstance(c, Tensor) else c for c in cells]:
             if isinstance(a, np.ndarray):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                if a.nbytes >= min_bytes:
-                    bases[id(a)] = a
-    return len(bases)
+                a = _base(a)
+                bases[id(a)] = a
+    return bases
+
+
+def _held_maps(block, x, min_bytes):
+    """Distinct buffers of at least min_bytes that one training forward's tape holds."""
+    with Tape() as tape:
+        block.forward(x, training=True)
+    return sum(a.nbytes >= min_bytes for a in _tape_buffers(tape).values())
 
 
 @pytest.mark.parametrize("kind, msar, held", [
@@ -85,7 +96,7 @@ def test_tape_keeps_no_map_only_a_relu_or_add_reads(kind, msar, held):
         x = Tensor(rng.standard_normal((4, 16, 8, 8)))
         map_bytes = x.data.nbytes
     else:
-        block = DenseStep("s", 24, 12, 8, msar, rng, np.float64)
+        block = DenseStep("s", 24, 12, 8, 36, msar, rng, np.float64)
         x = Tensor(rng.standard_normal((4, 24, 8, 8)))
         map_bytes = 4 * 12 * 8 * 8 * 8
     assert _held_maps(block, x, map_bytes) == held
@@ -162,6 +173,8 @@ def test_dense_widths_accumulate_by_growth():
     for j in range(6):
         assert steps[j].conv1.w.shape[1] == 24 + j * 12
         assert steps[j].conv2.w.shape[0] == 12
+    # every step of a stage writes into one buffer of the stage's final width
+    assert [step.width for step in steps] == [96] * 6 + [120] * 6 + [132] * 6
 
 
 def test_dense_recal_pool_width_follows_stage_mode():
@@ -268,3 +281,96 @@ def test_float32_build():
     x = Tensor(np.random.default_rng(48).standard_normal((2, 3, 8, 8)), dtype=np.float32)
     out = net.forward(x)
     assert out.data.dtype == np.float32
+
+
+# -- dense stages in one buffer, against the concatenating path ----------------
+
+DENSE_CASES = {
+    "densenet40-msar-regional-f32": (densenet_cifar(40, 12, 10, MsarSettings((1, 2, 4))),
+                                     np.float32),
+    "densenet40-msar-regional-f64": (densenet_cifar(40, 12, 10, MsarSettings((1, 2, 4))),
+                                     np.float64),
+    "densenet22-msar-single": (densenet_cifar(22, 6, 10, MsarSettings((1, 2), stage_mode="single")),
+                               np.float64),
+    "densenet22-plain": (densenet_cifar(22, 6, 10), np.float32),
+}
+
+
+def _concat_oracle(monkeypatch):
+    """Make dense steps concatenate into fresh storage, as before stage buffers."""
+    monkeypatch.setattr(msar.blocks, "extend_channels",
+                        lambda a, b, width: oracles.concat_channels(a, b))
+
+
+def _dense_step_and_eval(spec, dtype, batch=4):
+    """A seed-3 net's logits, every parameter gradient and running statistic
+    after one seeded training step, then its eval logits."""
+    net = build_network(spec, seed=3, dtype=dtype)
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((batch, 3, 32, 32)), dtype=dtype)
+    with Tape() as tape:
+        logits = net.forward(x, training=True)
+        loss = cross_entropy(logits, rng.integers(0, 10, batch))
+    backward(tape, loss)
+    arrays = [logits.data] + [t.grad for _, t, _ in net.parameters()]
+    arrays += [a for _, st in net.norm_states() for a in (st.mean, st.var)]
+    return arrays + [net.forward(x).data]
+
+
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_dense_stage_buffer_is_bitwise_the_concat_path(case, monkeypatch):
+    spec, dtype = DENSE_CASES[case]
+    got = _dense_step_and_eval(spec, dtype)
+    _concat_oracle(monkeypatch)
+    want = _dense_step_and_eval(spec, dtype)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_dense_training_forward_keeps_one_buffer_per_stage(monkeypatch):
+    # densenet40-msar f32 at batch 4 retains 0.81 of the concatenating
+    # path's bytes: the 18 steps' outputs become 3 stage buffers
+    spec = densenet_cifar(40, 12, 10, MsarSettings((1, 2, 4)))
+
+    def retained():
+        net = build_network(spec, seed=3, dtype=np.float32)
+        x = Tensor(np.random.default_rng(5).standard_normal((4, 3, 32, 32)), dtype=np.float32)
+        with Tape() as tape:
+            net.forward(x, training=True)
+        outputs = {id(_base(out.data)) for name, out, _ in tape._entries
+                   if name == "concat_channels"}
+        return len(outputs), sum(a.nbytes for a in _tape_buffers(tape).values())
+
+    stages, held = retained()
+    _concat_oracle(monkeypatch)
+    steps, concat_held = retained()
+    assert (stages, steps) == (3, 18)
+    assert held <= 0.85 * concat_held
+
+
+def _bits(t):
+    return t.data.tobytes()
+
+
+def test_dense_outputs_never_change_once_exposed():
+    net = build_network(densenet_cifar(22, 6, 10, MsarSettings((1, 2))), seed=3)
+    x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 32, 32)))
+    # one step run twice on one input: its input is then no longer the
+    # filled prefix of the stage buffer, so the second run (in eval mode,
+    # other values) must not write over the first run's channels
+    stem, step0, step1 = net.blocks[:3]
+    s = step0.forward(stem.forward(x, True), True)
+    first = step1.forward(s, True)
+    kept = [_bits(s), _bits(first)]
+    second = step1.forward(s, False)
+    assert [_bits(s), _bits(first)] == kept
+    assert _bits(second) != kept[1]
+    assert second.data[:, :s.shape[1]].tobytes() == kept[0]
+    # a training forward, then an eval and a second training forward
+    with Tape() as tape:
+        net.forward(x, training=True)
+    kept = [_bits(out) for _name, out, _fn in tape._entries]
+    net.forward(x)
+    net.forward(x, training=True)
+    assert [_bits(out) for _name, out, _fn in tape._entries] == kept

@@ -13,10 +13,10 @@ from msar.blocks import MsarSettings, build_network, densenet_cifar, resnet_cifa
 from msar.gradcheck import TOLERANCE, check_gradients
 from msar.pooling import CoordinateSetSpec, project_pool
 from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
-                         backward, batch_norm, concat_channels, conv2d,
-                         cross_entropy, global_avg_pool, linear, max_pool2d,
+                         backward, batch_norm, conv2d, cross_entropy,
+                         extend_channels, global_avg_pool, linear, max_pool2d,
                          mul, relu, sum_all)
-from oracles import sigmoid
+from oracles import concat_channels, sigmoid
 
 
 def naive_conv2d(x, k, stride, pad):
@@ -571,13 +571,15 @@ def test_batch_norm_tape_keeps_no_input_copy(layout):
 
 
 def test_concat_output_is_read_as_channel_rows_without_copy(monkeypatch):
-    # dense steps normalize, and may sliding-pool, concat_channels outputs:
-    # both ops must take their (D, N*H*W) rows as a view of that output
+    # dense steps normalize, and may sliding-pool, extend_channels outputs,
+    # channel prefixes of a wider stage buffer: both ops must take their
+    # (D, N*H*W) rows as a view of that output
     rng = np.random.default_rng(45)
     a = Tensor(rng.standard_normal((2, 3, 6, 6)))
     b = Tensor(rng.standard_normal((2, 4, 6, 6)))
-    cat = concat_channels(a, b)
+    cat = extend_channels(a, b, 9)
     assert np.array_equal(cat.data, np.concatenate([a.data, b.data], axis=1))
+    assert cat.data.strides == concat_channels(a, b).data.strides
     rows = msar.tensor._channel_rows
     views = []
 
@@ -595,6 +597,29 @@ def test_concat_output_is_read_as_channel_rows_without_copy(monkeypatch):
         loss = add(sum_all(mul(y, y)), sum_all(mul(z, z)))
     backward(tape, loss)
     assert len(views) == 5 and all(views)
+
+
+def test_extend_channels_writes_only_channels_no_tensor_exposes():
+    # a step extends the stage buffer only when its input is the filled
+    # prefix; a second step on the same input, or a wider dtype, starts
+    # new storage, so no earlier result changes
+    rng = np.random.default_rng(46)
+    x, y, z = (Tensor(rng.standard_normal((2, c, 4, 4)), dtype=np.float32) for c in (3, 2, 2))
+    s = extend_channels(x, y, 7)
+    first = extend_channels(s, z, 7)
+    assert np.shares_memory(first.data, s.data)
+    kept, prefix = first.data.copy(), s.data.copy()
+    second = extend_channels(s, y, 7)
+    assert not np.shares_memory(second.data, first.data)
+    assert np.array_equal(first.data, kept) and np.array_equal(s.data, prefix)
+    assert np.array_equal(second.data, concat_channels(s, y).data)
+    wide = extend_channels(first, Tensor(np.ones((2, 1, 4, 4))), 8)
+    assert wide.dtype == np.float64 and not np.shares_memory(wide.data, first.data)
+    assert np.array_equal(first.data, kept)
+    with pytest.raises(ValueError, match="do not fit"):
+        extend_channels(x, y, 4)
+    with pytest.raises(ValueError, match="incompatible"):
+        extend_channels(x, Tensor(np.ones((2, 2, 4, 5))), 9)
 
 
 def test_sigmoid_known_value():
@@ -719,6 +744,8 @@ def test_gradients_all_core_ops():
     assert check_gradients(lambda: relu(x), [x], rng) < TOLERANCE
     assert check_gradients(lambda: sigmoid(x), [x], rng) < TOLERANCE
     assert check_gradients(lambda: concat_channels(x, y), [x, y], rng) < TOLERANCE
+    assert check_gradients(lambda: extend_channels(extend_channels(x, y, 9), x, 9),
+                           [x, y], rng) < TOLERANCE
     assert check_gradients(lambda: sum_all(mul(x, x)), [x], rng) < TOLERANCE
 
     xa, wa, ba = Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal((4, 6))), Tensor(rng.standard_normal(4))
@@ -855,8 +882,9 @@ def _slot_cases():
         ("mul", [x, y], lambda: mul(x, y)),
         ("mul-self", [x], lambda: mul(x, x)),
         ("scale", [x], lambda: oracles.scale(x, -1.5)),
-        ("concat", [x, y], lambda: concat_channels(x, y)),
-        ("concat-self", [x], lambda: concat_channels(x, x)),
+        ("concat", [x, y], lambda: extend_channels(x, y, 6)),
+        ("concat-self", [x], lambda: extend_channels(x, x, 6)),
+        ("concat-extend", [x, y], lambda: extend_channels(extend_channels(x, y, 9), x, 9)),
         ("sum_all", [x], lambda: sum_all(x)),
         ("relu", [x], lambda: relu(x)),
         ("sigmoid", [x], lambda: sigmoid(x)),
@@ -944,7 +972,7 @@ def _assert_slots_apart(loss, leaves):
 
 
 @pytest.mark.parametrize("name", ["add-self", "add", "add-relu", "add-relu-self", "concat",
-                                  "concat-self", "gate-regional", "gate-sliding",
+                                  "concat-self", "concat-extend", "gate-regional", "gate-sliding",
                                   "gate-skip", "regional_pool",
                                   "excite_map-train", "excite_map-eval", "excite_map-gate",
                                   "excite-regional-gate"])
