@@ -23,7 +23,7 @@ print(f"same region summed naively:                   {x[0, 1:3, 2:5].sum()}")
 print()
 print("== sliding strategy: one clipped square window per position ==")
 spec = CoordinateSetSpec("sliding", 2, 32, 32)
-print(f"32x32 lattice at scale K=2: window half-width floor(sqrt(32*32)/2) = {int(spec.threshold)}")
+print(f"32x32 lattice at scale K=2: window half-width floor(sqrt(32*32)/2) = {spec.radius}")
 for (w, h) in [(0, 0), (16, 16), (31, 31)]:
     (h1, h2, w1, w2), count = coordinate_set(spec, w, h)
     print(f"  window at ({w:2d},{h:2d}): rows {h1:2d}..{h2:2d}, cols {w1:2d}..{w2:2d}, {count} positions")

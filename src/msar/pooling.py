@@ -36,10 +36,13 @@ broadcasts per-cell vectors back over the refinement, and _expand
 writes its maps channel-major, (D, N, H, W) in memory, like the conv2d
 and batch_norm outputs they are multiplied with or added to.
 
-Sliding band sums run on a copy of the map centred on its own mean, so
-float32 sums keep their precision.  The window band is symmetric, so the
-window is its own adjoint: backward runs the same band sums over
-og / window size, centred the same way.
+Sliding window sums run through one function, _window_sums, on a
+(C, N, H, W) array: a copy written (C, N, W, H) and centred on each
+map's own mean, so float32 sums keep their precision, goes through one
+_band_sums call that returns (C, N, H, W), and mean x window size is
+added back.  The window band is symmetric, so the sums are their own
+adjoint: project_pool's backward runs _window_sums over og / window
+size.
 
 project_pool is the op a sliding recalibration scale runs first: it
 applies the bottleneck's first map w to the map and then takes the
@@ -51,8 +54,9 @@ theirs.
 
 Pooled vectors and gates pass between ops as (N*M, C) rows, row
 n*M + m for cell (or pixel) m of image n, the (rows, channels) layout
-of the bottleneck's batch_norm and excite.  excite writes its rows
-channel-major, so a sliding scale's are its (N, D, H, W) gate map.
+of the bottleneck's batch_norm and excite.  project_pool and excite
+write their rows channel-major, so a sliding scale's gates are its
+(N, D, H, W) gate map.
 
 gate() multiplies a feature map by the mean over scales of per-scale
 gates: a regional scale's rows broadcast over its cells, a sliding
@@ -98,6 +102,11 @@ class CoordinateSetSpec:
     def threshold(self) -> float:
         """Sliding window threshold sqrt(W*H)/K."""
         return (self.width * self.height) ** 0.5 / self.k
+
+    @property
+    def radius(self) -> int:
+        """Sliding window half-width, floor(threshold)."""
+        return int(self.threshold)
 
     @property
     def vector_count(self) -> int:
@@ -148,7 +157,7 @@ def coordinate_set(spec: CoordinateSetSpec, w: int, h: int):
     if not (0 <= w < spec.width and 0 <= h < spec.height):
         raise ValueError(f"position ({w},{h}) outside {spec.width}x{spec.height} lattice")
     if spec.strategy == "sliding":
-        r = int(spec.threshold)
+        r = spec.radius
         h1, h2 = max(0, h - r), min(spec.height - 1, h + r)
         w1, w2 = max(0, w - r), min(spec.width - 1, w + r)
     else:
@@ -162,12 +171,7 @@ def coordinate_set(spec: CoordinateSetSpec, w: int, h: int):
 
 
 def _grid(spec: CoordinateSetSpec):
-    """Row and column edges of the cells that share one pooled vector.
-
-    A sliding spec has a vector per position, so its cells are pixels.
-    """
-    if spec.strategy == "sliding":
-        return list(range(spec.height + 1)), list(range(spec.width + 1))
+    """Row and column edges of a regional spec's cells."""
     return _edges(spec.height, spec.k), _edges(spec.width, spec.k)
 
 
@@ -201,25 +205,26 @@ def _band_sums(a: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
     return (t.reshape(-1, height) @ mh.T).reshape(d, n, len(mw), len(mh))
 
 
-def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
-    """(N, D, H, W) -> (N*H*W, D) clipped-window means, and the (H, W) window sizes.
+def _window_sums(a: np.ndarray, spec: CoordinateSetSpec):
+    """(C, N, H, W) -> its clipped-window sums, a new C-contiguous (C, N, H, W)
+    array, and the (H, W) window sizes in a's dtype.
 
-    The window sums run over one (D, N, H, W) copy of x centred on each
-    map's own mean (taken on the copy, so x's layout does not matter),
-    which is added back.  That keeps the sums near zero, so a float32
-    map loses little to cancellation.  Sizes come back in x's dtype.
+    The sums run over a copy of a written (C, N, W, H), so that one
+    _band_sums call returns them (C, N, H, W).  The copy is centred on
+    each map's own mean (taken on the copy, so a's layout does not
+    matter), and mean x size is added back; that keeps the sums near
+    zero, so a float32 map loses little to cancellation.  The copy is
+    always a new array, so a is never written.
     """
-    n, d, height, width = x.shape
-    r = int(spec.threshold)
-    mh, mw = _band(height, r, x.dtype), _band(width, r, x.dtype)
-    centred = x.transpose(1, 0, 2, 3).copy()
+    height, width = a.shape[2:]
+    mh, mw = _band(height, spec.radius, a.dtype), _band(width, spec.radius, a.dtype)
+    centred = a.transpose(0, 1, 3, 2).copy()
     mu = centred.mean(axis=(2, 3), keepdims=True)
     centred -= mu
     sizes = np.outer(mh.sum(axis=1), mw.sum(axis=1))
-    means = np.empty((n, height, width, d), dtype=x.dtype)
-    np.divide(_band_sums(centred, mh, mw).transpose(1, 3, 2, 0), sizes[..., None], out=means)
-    means += mu.transpose(1, 2, 3, 0)
-    return means.reshape(-1, d), sizes
+    sums = _band_sums(centred, mw, mh)
+    sums += mu * sizes
+    return sums, sizes
 
 
 def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
@@ -235,28 +240,9 @@ def region_avg_pool(x, spec: CoordinateSetSpec) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] != spec.height or x.shape[2] != spec.width:
         raise ValueError(f"region_avg_pool: expected (D,{spec.height},{spec.width}), got {x.shape}")
     if spec.strategy == "sliding":
-        return _sliding_box_means(x[None], spec)[0]
+        sums, sizes = _window_sums(x[:, None], spec)
+        return (sums / sizes).reshape(len(x), -1).T
     return _scale_sums(x[None], [spec])[0][0] / _cell_sizes(spec, x.dtype)
-
-
-def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
-    """Adjoint of _sliding_box_means: (N*H*W, D) -> C-contiguous (D, N, H, W).
-
-    The window band is symmetric, so the adjoint is the same band sums
-    over u = og/|S|, copied (D, N, W, H) so that they come back
-    (D, N, H, W), and centred like the forward map; u's mean comes back
-    as mu*|S|.
-    """
-    height, width = sizes.shape
-    r = int(spec.threshold)
-    og = og.reshape(-1, height, width, og.shape[1]).transpose(3, 0, 2, 1)
-    u = np.empty(og.shape, dtype=og.dtype)
-    np.divide(og, sizes.T, out=u)
-    mu = u.mean(axis=(2, 3), keepdims=True)
-    u -= mu
-    out = _band_sums(u, _band(width, r, og.dtype), _band(height, r, og.dtype))
-    out += mu * sizes
-    return out
 
 
 def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,8 +257,11 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     the sliding means of x mapped by w in exact arithmetic, but the
     window sums run over r channels instead of D.  The projection is one
     GEMM over x's (D, N*H*W) channel-major view, which is free for the
-    outputs of conv2d, batch_norm and extend_channels.  Recorded on the
-    tape under the pool name regional_pool's entries carry.
+    outputs of conv2d, batch_norm and extend_channels.  _window_sums runs
+    over z = w @ x in z's own (r, N, H, W) layout, and the rows are the
+    transposed view of that (r, N*H*W) memory; backward runs it over
+    og / window size.  Recorded on the tape under the pool name
+    regional_pool's entries carry.
     """
     n, d, height, width = x.shape
     r = w.shape[0]
@@ -282,11 +271,13 @@ def project_pool(x: Tensor, w: Tensor, spec: CoordinateSetSpec) -> Tensor:
     if w.shape != (r, d):
         raise ValueError(f"project_pool: weight {w.shape} does not map {d} channels")
     z = w.data @ _channel_rows(x.data)                  # (r, N*H*W)
-    y, sizes = _sliding_box_means(z.reshape(r, n, height, width).transpose(1, 0, 2, 3), spec)
-    out = Tensor(y)
+    sums, sizes = _window_sums(z.reshape(r, n, height, width), spec)
+    sums /= sizes
+    out = Tensor(sums.reshape(r, -1).T)
 
     def bwd(og):
-        gz = _sliding_box_adjoint(og, sizes, spec).reshape(r, -1)   # (r, N*H*W)
+        gz, _ = _window_sums(og.T.reshape(r, n, height, width) / sizes, spec)
+        gz = gz.reshape(r, -1)                          # (r, N*H*W)
         gx = _thin_matmul(w.data.T, gz)
         _accumulate(x, gx.reshape(d, n, height, width).transpose(1, 0, 2, 3))
         _accumulate(w, gz @ _channel_rows(x.data).T)

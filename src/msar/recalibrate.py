@@ -122,7 +122,7 @@ class ScaleRecalibration:
 
     def __init__(self, name: str, spec: CoordinateSetSpec, d_in: int, d_out: int,
                  reduced: int, rng: np.random.Generator, dtype=np.float64):
-        whole = int(spec.threshold) >= max(spec.width, spec.height) - 1
+        whole = spec.radius >= max(spec.width, spec.height) - 1
         if spec.strategy == "sliding" and whole:
             spec = CoordinateSetSpec("regional", 1, spec.width, spec.height)
         self.name = name

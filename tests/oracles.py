@@ -12,8 +12,11 @@ and its sliding scales with pooling.project_pool, runs every scale's
 bottleneck to one pooling.excite, then gates them with one pooling.gate.
 The ops here are the path those replaced: one taped pool per scale
 (coordinate_avg_pool), each regional cell summed by a slice sum of its
-own (cell_sums), a taped broadcast of pooled vectors over their cells
-(broadcast_weights), a taped constant multiple (scale), the expand
+own (cell_sums) and filled by a slice of its own (cell_fill), sliding
+window means and their adjoint as two functions with two layouts
+(_sliding_box_means, _sliding_box_adjoint), a taped broadcast of pooled
+vectors over their cells (broadcast_weights), a taped constant multiple
+(scale), the expand
 half of the bottleneck as linear, batch_norm and a taped logistic
 (sigmoid, expand_chain, bottleneck_chain), and one scale's pool and
 bottleneck run on their own (scale_forward).  Pooled vectors and gates
@@ -27,9 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from msar.pooling import (CoordinateSetSpec, _cell_sizes, _gate_map, _grid, coordinate_set,
-                          _sliding_box_adjoint, _sliding_box_means, project_pool,
-                          regional_pool)
+from msar.pooling import (CoordinateSetSpec, _band, _band_sums, _cell_sizes, _grid,
+                          coordinate_set, project_pool, regional_pool)
 from msar.recalibrate import _bottleneck
 from msar.tensor import Tensor, _accumulate, _emit, _logistic, batch_norm, linear
 
@@ -92,6 +94,31 @@ def bottleneck_chain(rows: Tensor, p, training: bool, reduced: bool = False) -> 
     return expand_chain(u, p.w2, p.g2, p.b2, p.n2, training)
 
 
+def _cell_slices(spec: CoordinateSetSpec):
+    """(rows, columns) slices of a regional spec's cells, row-major."""
+    he, we = _grid(spec)
+    return [(slice(h1, h2), slice(w1, w2))
+            for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])]
+
+
+def cell_fill(v: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
+    """Broadcast over spec's cells: (N*M, D) rows -> (N, D, H, W), a new map
+    written channel-major, (D, N, H, W) in memory.
+
+    A regional cell is filled by a slice of its own; sliding rows, one
+    per position, are reshaped.
+    """
+    d = v.shape[1]
+    rows = v.reshape(-1, spec.vector_count, d).transpose(2, 0, 1)      # (D, N, M)
+    if spec.strategy == "sliding":
+        out = rows.reshape(d, -1, spec.height, spec.width).copy()
+    else:
+        out = np.empty(rows.shape[:2] + (spec.height, spec.width), v.dtype)
+        for m, (hs, ws) in enumerate(_cell_slices(spec)):
+            out[:, :, hs, ws] = rows[:, :, m, None, None]
+    return out.transpose(1, 0, 2, 3)
+
+
 def cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
     """Adjoint of broadcasting over spec's cells: (N, D, H, W) -> (N*M, D) rows.
 
@@ -102,9 +129,7 @@ def cell_sums(g: np.ndarray, spec: CoordinateSetSpec) -> np.ndarray:
     d = g.shape[1]
     if spec.strategy == "sliding":
         return g.transpose(0, 2, 3, 1).reshape(-1, d).copy()
-    he, we = _grid(spec)
-    return np.stack([g[:, :, h1:h2, w1:w2].sum(axis=(2, 3))
-                     for h1, h2 in zip(he, he[1:]) for w1, w2 in zip(we, we[1:])],
+    return np.stack([g[:, :, hs, ws].sum(axis=(2, 3)) for hs, ws in _cell_slices(spec)],
                     axis=1).reshape(-1, d)
 
 
@@ -112,6 +137,47 @@ def cell_means(x: np.ndarray, spec: CoordinateSetSpec):
     """(N, D, H, W) -> (N*K*K, D) cell means, and each row's cell size in x's dtype."""
     sizes = np.tile(_cell_sizes(spec, x.dtype), (x.shape[0], 1))
     return cell_sums(x, spec) / sizes, sizes
+
+
+def _sliding_box_means(x: np.ndarray, spec: CoordinateSetSpec):
+    """(N, D, H, W) -> (N*H*W, D) clipped-window means, and the (H, W) window sizes.
+
+    The window sums run over one (D, N, H, W) copy of x centred on each
+    map's own mean (taken on the copy, so x's layout does not matter),
+    which is added back.  That keeps the sums near zero, so a float32
+    map loses little to cancellation.  Sizes come back in x's dtype.
+    """
+    n, d, height, width = x.shape
+    r = int(spec.threshold)
+    mh, mw = _band(height, r, x.dtype), _band(width, r, x.dtype)
+    centred = x.transpose(1, 0, 2, 3).copy()
+    mu = centred.mean(axis=(2, 3), keepdims=True)
+    centred -= mu
+    sizes = np.outer(mh.sum(axis=1), mw.sum(axis=1))
+    means = np.empty((n, height, width, d), dtype=x.dtype)
+    np.divide(_band_sums(centred, mh, mw).transpose(1, 3, 2, 0), sizes[..., None], out=means)
+    means += mu.transpose(1, 2, 3, 0)
+    return means.reshape(-1, d), sizes
+
+
+def _sliding_box_adjoint(og: np.ndarray, sizes: np.ndarray, spec: CoordinateSetSpec):
+    """Adjoint of _sliding_box_means: (N*H*W, D) -> C-contiguous (D, N, H, W).
+
+    The window band is symmetric, so the adjoint is the same band sums
+    over u = og/|S|, copied (D, N, W, H) so that they come back
+    (D, N, H, W), and centred like the forward map; u's mean comes back
+    as mu*|S|.
+    """
+    height, width = sizes.shape
+    r = int(spec.threshold)
+    og = og.reshape(-1, height, width, og.shape[1]).transpose(3, 0, 2, 1)
+    u = np.empty(og.shape, dtype=og.dtype)
+    np.divide(og, sizes.T, out=u)
+    mu = u.mean(axis=(2, 3), keepdims=True)
+    u -= mu
+    out = _band_sums(u, _band(width, r, og.dtype), _band(height, r, og.dtype))
+    out += mu * sizes
+    return out
 
 
 def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
@@ -126,7 +192,7 @@ def coordinate_avg_pool(x: Tensor, spec: CoordinateSetSpec) -> Tensor:
 
     def bwd(og):
         if regional:
-            _accumulate(x, _gate_map([og / sizes], [spec], 1))
+            _accumulate(x, cell_fill(og / sizes, spec))
         else:
             _accumulate(x, _sliding_box_adjoint(og, sizes, spec).transpose(1, 0, 2, 3))
 
@@ -138,7 +204,7 @@ def broadcast_weights(z: Tensor, spec: CoordinateSetSpec) -> Tensor:
     if z.ndim != 2 or z.shape[0] % spec.vector_count:
         raise ValueError(f"broadcast_weights: {z.shape} rows but spec has "
                          f"{spec.vector_count} vectors per image")
-    out = Tensor(_gate_map([z.data], [spec], 1))
+    out = Tensor(cell_fill(z.data, spec))
 
     def bwd(og):
         _accumulate(z, cell_sums(og, spec))

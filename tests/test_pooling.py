@@ -122,6 +122,8 @@ def test_sliding_window_halfwidth_and_clipping():
     # 32x32 at split 2: half-width floor(sqrt(1024)/2) = 16
     spec = CoordinateSetSpec("sliding", 2, 32, 32)
     assert spec.threshold == pytest.approx(16.0)
+    assert spec.radius == 16
+    assert CoordinateSetSpec("sliding", 2, 7, 5).radius == 2      # floor(sqrt(35)/2)
     assert spec.vector_count == 32 * 32
     assert coordinate_set(spec, 0, 0) == ((0, 16, 0, 16), 289)
     assert coordinate_set(spec, 16, 16) == ((0, 31, 0, 31), 1024)
@@ -430,24 +432,71 @@ SLIDING_CASES = [(7, 5, 2), (11, 9, 3), (6, 13, 4), (32, 32, 1), (32, 32, 2), (3
 
 @pytest.mark.parametrize("height,width,k", SLIDING_CASES)
 def test_sliding_pool_matches_summed_area_and_window_oracles(height, width, k):
-    # 4x4 at K=2 misses whole-axis windows by one; 3x20 and 20x3 at K=1
-    # cover one axis whole and not the other
+    # the oracle pool, and project_pool with an identity weight, whose rows
+    # are the means themselves, so the window kernel the sites run is
+    # checked too; 4x4 at K=2 misses whole-axis windows by one; 3x20 and
+    # 20x3 at K=1 cover one axis whole and not the other
     spec = CoordinateSetSpec("sliding", k, width, height)
     rng = np.random.default_rng(height * 100 + width * 10 + k)
-    x = Tensor(rng.standard_normal((2, 3, height, width)) + 2.0)
+    x = rng.standard_normal((2, 3, height, width)) + 2.0
     og = rng.standard_normal((2 * height * width, 3))
-    with Tape() as tape:
-        out = coordinate_avg_pool(x, spec)
-    (_, _, bwd), = tape._entries
-    bwd(og)
-    for want_y, want_grad in (sat_pool(x.data, og, spec), window_pool(x.data, og, spec)):
-        assert np.abs(out.data - want_y).max() <= 1e-12
-        assert np.abs(x.grad - want_grad).max() <= 1e-12
-    single = region_avg_pool(x.data[1], spec)
-    assert np.abs(single - out.data.reshape(2, -1, 3)[1]).max() <= 1e-12
-    # adjoint identity <pool(x), og> = <x, pool^T(og)>
-    lhs, rhs = np.vdot(out.data, og), np.vdot(x.data, x.grad)
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    wants = (sat_pool(x, og, spec), window_pool(x, og, spec))
+    for pool in (lambda t: coordinate_avg_pool(t, spec),
+                 lambda t: project_pool(t, Tensor(np.eye(3)), spec)):
+        xt = Tensor(x)
+        with Tape() as tape:
+            out = pool(xt)
+        (_, _, bwd), = tape._entries
+        bwd(og)
+        for want_y, want_grad in wants:
+            assert np.abs(out.data - want_y).max() <= 1e-12
+            assert np.abs(xt.grad - want_grad).max() <= 1e-12
+        single = region_avg_pool(x[1], spec)
+        assert np.abs(single - out.data.reshape(2, -1, 3)[1]).max() <= 1e-12
+        # adjoint identity <pool(x), og> = <x, pool^T(og)>
+        lhs, rhs = np.vdot(out.data, og), np.vdot(x, xt.grad)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("height,width,k", [(8, 8, 2), (7, 5, 3), (11, 9, 5), (32, 32, 4),
+                                            (1, 1, 1), (1, 9, 2), (9, 1, 2)])
+def test_sliding_region_avg_pool_is_bitwise_the_sites_pool(dtype, height, width, k):
+    # criterion 3 checks region_avg_pool against rect_sum, so it has to be
+    # the sliding sites' pool, bit for bit: project_pool with an identity
+    # weight, whose projection eye(D) @ x is x itself
+    spec = CoordinateSetSpec("sliding", k, width, height)
+    rng = np.random.default_rng(height * 100 + width * 10 + k)
+    x = (rng.standard_normal((5, height, width)) + 2.0).astype(dtype)
+    got = region_avg_pool(Tensor(x), spec)
+    want = project_pool(Tensor(x[None]), Tensor(np.eye(5), dtype=dtype), spec).data
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 9), (9, 1)])
+def test_pools_never_write_their_input(height, width):
+    # with a one-pixel side a transposed copy's layout is the input's own,
+    # so np.ascontiguousarray would return a view there, and a kernel that
+    # centred it in place would write the input
+    rng = np.random.default_rng(height * 10 + width)
+    x = rng.standard_normal((2, 3, height, width)) + 2.0
+    w = rng.standard_normal((2, 3))
+    og = rng.standard_normal((2 * height * width, 2))
+    inputs = [x, w, og]
+    saved = [a.copy() for a in inputs]
+    for spec in (CoordinateSetSpec("sliding", 1, width, height),
+                 CoordinateSetSpec("sliding", 3, width, height),
+                 CoordinateSetSpec("regional", 1, width, height)):
+        region_avg_pool(x[0], spec)
+        region_avg_pool(Tensor(x[1]), spec)
+    for k in (1, 3):
+        with Tape() as tape:
+            project_pool(Tensor(x), Tensor(w), CoordinateSetSpec("sliding", k, width, height))
+        (_, _, bwd), = tape._entries
+        bwd(og)
+    for a, b in zip(inputs, saved):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sliding_float32_box_means_track_float64():
@@ -456,7 +505,8 @@ def test_sliding_float32_box_means_track_float64():
     spec = CoordinateSetSpec("sliding", 4, 112, 112)
     rng = np.random.default_rng(30)
     x32 = (rng.standard_normal((2, 4, 112, 112)) + 3.0).astype(np.float32)
-    # the backward window sums run over og / size uncentred, so give og an offset too
+    # the backward window sums run over og / size, centred like the forward
+    # map, so give og an offset too
     og32 = (rng.standard_normal((2 * 112 * 112, 4)) + 3.0).astype(np.float32)
     outs, grads = [], []
     for dtype in (np.float32, np.float64):
