@@ -9,14 +9,14 @@ the finite-difference harness that keeps analytic gradients honest.
 
 import numpy as np
 
-from msar import Tape, Tensor, backward, check_gradients, conv2d, relu
-from msar.tensor import mul
+from msar import Tape, Tensor, backward, check_gradients, conv2d
+from msar.tensor import add, mul
 
 print("== a scalar chain, differentiated by hand and by tape ==")
-# f(x) = relu(x * x) at x = 3: df/dx = 2x = 6
+# f(x) = x * x + 1 at x = 3: df/dx = 2x = 6
 x = Tensor(np.array(3.0))
 with Tape() as tape:
-    y = relu(mul(x, x))
+    y = add(mul(x, x), Tensor(np.array(1.0)))
     backward(tape, y)
 print(f"f(3) = {y.data:.1f}, analytic df/dx = {x.grad:.1f} (expected 6.0)")
 

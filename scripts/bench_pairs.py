@@ -2,14 +2,18 @@
 
 Usage:
 
-    python3 scripts/bench_pairs.py --parent DIR --label NAME [--pairs 10] [--seed 5000]
+    python3 scripts/bench_pairs.py --parent REV --label NAME [--pairs 10] [--seed 5000]
 
-For every workload W in BENCHMARK.json, pair i runs `python3
-perfbench/run.py --workload W --seed SEED+i --seconds T --trace 0` once
-in the parent checkout DIR and once in the checkout holding this script,
-one run at a time, the parent first in even pairs and the change first
-in odd ones; T is BENCHMARK.json's run_seconds.  BENCH_<label>.json
-then holds, per workload and end-to-end metric, both sides' medians and
+Both sides are built the same way: the parent revision REV and HEAD of
+the repository holding this script are each `git archive`d into
+parent/ and change/ under one fresh temporary directory, so both run
+from committed files at paths of equal length (uncommitted edits are
+not measured).  For every workload W in BENCHMARK.json, pair i runs
+`python3 perfbench/run.py --workload W --seed SEED+i --seconds T
+--trace 0` once in each tree, one run at a time, the parent first in
+even pairs and the change first in odd ones; T is BENCHMARK.json's
+run_seconds.  BENCH_<label>.json then holds both sides' commit hashes
+and, per workload and end-to-end metric, both sides' medians and
 quartiles, the pairs the change won and lost (ties count for neither),
 a verdict against the metric's bound (see verdict),
 failed and attempted checks with each failure's side, seed and message,
@@ -19,15 +23,34 @@ and the machine line of the runs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 CHECK_FAILED = "check failed: "
+
+
+def build_trees(repo, parent, root):
+    """`git archive` revision parent and HEAD of repo into root/parent and
+    root/change: {side: (tree, commit hash)}."""
+    trees = {}
+    for side, rev in zip(SIDES, (parent, "HEAD")):
+        commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=repo,
+                                capture_output=True, text=True, check=True).stdout.strip()
+        archive = subprocess.run(["git", "archive", commit], cwd=repo,
+                                 capture_output=True, check=True).stdout
+        tree = os.path.join(root, side)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        trees[side] = (tree, commit)
+    return trees
 
 
 def run_once(tree, workload, seed, seconds):
@@ -107,7 +130,7 @@ def summarize(pairs, metric_specs):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True)
+    p.add_argument("--parent", required=True, help="parent revision")
     p.add_argument("--label", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=5000)
@@ -116,18 +139,20 @@ def main(argv=None):
         bench = json.load(fh)
     report = {"label": args.label, "pairs": args.pairs, "seed": args.seed,
               "seconds": bench["run_seconds"], "machine": None, "workloads": {}}
-    trees = dict(zip(SIDES, (args.parent, ROOT)))
-    for workload in (w["name"] for w in bench["workloads"]):
-        pairs = []
-        for i in range(args.pairs):
-            pair = {}
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                pair[side], machine = run_once(trees[side], workload, args.seed + i,
-                                               bench["run_seconds"])
-                report["machine"] = machine or report["machine"]
-            pairs.append((pair["parent"], pair["change"]))
-            print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        report["workloads"][workload] = summarize(pairs, bench["end_to_end"])
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as root:
+        trees = build_trees(ROOT, args.parent, root)
+        report["commits"] = {side: commit for side, (_, commit) in trees.items()}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for i in range(args.pairs):
+                pair = {}
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    pair[side], machine = run_once(trees[side][0], workload, args.seed + i,
+                                                   bench["run_seconds"])
+                    report["machine"] = machine or report["machine"]
+                pairs.append((pair["parent"], pair["change"]))
+                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            report["workloads"][workload] = summarize(pairs, bench["end_to_end"])
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

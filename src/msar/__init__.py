@@ -7,7 +7,7 @@ and FLOP cost model, a desk-scale training harness, and a command-line
 front end (train / eval / analyze / gradcheck).
 """
 
-from .tensor import (Tape, Tensor, backward, relu, conv2d, linear,
+from .tensor import (Tape, Tensor, backward, conv2d, linear,
                      batch_norm, BNState, cross_entropy, global_avg_pool,
                      extend_channels)
 from .pooling import (CoordinateSetSpec, build_sat, rect_sum, coordinate_set,

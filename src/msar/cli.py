@@ -24,7 +24,7 @@ from .pooling import CoordinateSetSpec, excite, gate, project_pool, regional_poo
 from .recalibrate import MultiScaleConfig, MultiScaleRecalibration
 from .tensor import (BNState, Tensor, add, avg_pool2d, batch_norm, conv2d,
                      cross_entropy, extend_channels, global_avg_pool,
-                     linear, max_pool2d, mul, relu, sum_all)
+                     linear, max_pool2d, mul, sum_all)
 from .training import TrainingDiverged, evaluate, train, write_curve
 from .weights import load_weights, save_weights
 
@@ -164,8 +164,6 @@ def _gradcheck_rows(cfg: ExperimentConfig, rng):
     rows.append(("add", lambda: add(a, b), [a, b]))
     c, d = t(2, 3, 4, 4), t(2, 3, 4, 4)
     rows.append(("mul", lambda: mul(c, d), [c, d]))
-    g = t(2, 3, 4, 4)
-    rows.append(("relu", lambda: relu(g), [g]))
 
     x1, w1, b1 = t(5, 6), t(4, 6), t(4)
     rows.append(("linear", lambda: linear(x1, w1, b1), [x1, w1, b1]))

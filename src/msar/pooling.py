@@ -31,10 +31,10 @@ op a site runs ends in that map and hands the bottleneck r-wide rows.
 Backward gathers every scale's gradient onto the refinement cells and
 expands the total into the map's gradient once (_expand).  When the
 refinement is one cell (a lone K=1 scale) the sum is the direct global
-one, so a K=1 mean is bitwise a plain global average.  _gate_map
-broadcasts per-cell vectors back over the refinement, and _expand
-writes its maps channel-major, (D, N, H, W) in memory, like the conv2d
-and batch_norm outputs they are multiplied with or added to.
+one, so a K=1 mean is bitwise a plain global average.  _expand writes
+refinement-cell values back over the map channel-major, (D, N, H, W)
+in memory, like the conv2d and batch_norm outputs it is multiplied
+with or added to.
 
 Sliding window sums run through one function, _window_sums, on a
 (C, N, H, W) array: a copy written (C, N, W, H) and centred on each
@@ -60,10 +60,13 @@ write their rows channel-major, so a sliding scale's gates are its
 
 gate() multiplies a feature map by the mean over scales of per-scale
 gates: a regional scale's rows broadcast over its cells, a sliding
-scale's viewed as its map.  It is one taped op whose closure keeps the
-input and the rows: the full-size mean map is rebuilt in backward by
-adds instead of being kept, the regional rows' gradients take one
-_scale_sums pass over og * x, and each sliding scale's take og * x.
+scale's viewed as its map.  It is one taped op on a pair of functions
+that serve every mix of strategies: _mean_map builds the mean map from
+the rows, and its adjoint _row_grads gives each scale its rows'
+gradient from og * x (a regional scale its cell sums, one _scale_sums
+pass for all of them; a sliding scale the map's rows), each times 1/S.
+The closure keeps the input and the rows, and rebuilds the full-size
+mean map in backward instead of keeping it.
 """
 
 from __future__ import annotations
@@ -321,25 +324,6 @@ def _expand(cells: np.ndarray, rows, cols) -> np.ndarray:
     return np.ascontiguousarray(out).transpose(1, 0, 2, 3)
 
 
-def _gate_map(vs, specs, count) -> np.ndarray:
-    """(N, D, H, W) sum of (N*M_s, D) rows broadcast over their cells, over count.
-
-    The scales are combined on the common refinement of their cell edges
-    as (v_1 + v_2) + v_3 ..., then scaled by 1/count, so each position sees
-    the same arithmetic as a sum of full broadcast maps; only the result
-    is expanded to the lattice.
-    """
-    rows, cols = _refinement(specs)
-    total = None
-    for v, spec in zip(vs, specs):
-        cells = v.reshape(-1, spec.vector_count, v.shape[1])
-        part = cells[:, _cell_index(spec, rows, cols), :]   # (N, J_h, J_w, D)
-        total = part if total is None else total + part
-    if count > 1:
-        total = total * (1.0 / count)
-    return _expand(total, rows, cols)
-
-
 def _refined_sums(g: np.ndarray, rows, cols) -> np.ndarray:
     """(N, D, H, W) -> (N, J, D) sums of g over the J refinement cells.
 
@@ -479,32 +463,64 @@ def excite(u: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     return _emit("gate", out, bwd)
 
 
-def _mean_map(cells, rows, count, shape) -> np.ndarray:
-    """(N, D, H, W) sum over count of the regional (vectors, spec) cells
-    broadcast by _gate_map (which averages them alone) and the sliding
-    scales' rows viewed as maps of `shape`, a new array.
+def _mean_map(vs, specs, shape) -> np.ndarray:
+    """(N, D, H, W) mean over the S scales of their (N*M_s, D) gate rows, a new array.
+
+    The regional scales' rows are summed on the common refinement of
+    their cell edges as (v_1 + v_2) + v_3 ..., scaled there by 1/S when
+    every scale is regional, and expanded to the lattice once; each
+    position sees the same arithmetic as a sum of full broadcast maps.
+    The sliding scales' rows, viewed as maps of `shape`, are then added
+    (to zeros when no scale is regional) and the total scaled by 1/S.
     """
-    vs, specs = [v.data for v, _ in cells], [spec for _, spec in cells]
-    if not rows:
-        return _gate_map(vs, specs, count)
-    maps = [_from_rows(v.data.T, shape) for v in rows]
-    total = _gate_map(vs, specs, 1) if cells else np.zeros_like(maps[0])
+    count = len(vs)
+    regional = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
+    maps = [_from_rows(v.T, shape) for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
+    if not regional:
+        total = np.zeros_like(maps[0])
+    else:
+        rows, cols = _refinement([spec for _, spec in regional])
+        cells = None
+        for v, spec in regional:
+            part = v.reshape(-1, spec.vector_count, v.shape[1])[:, _cell_index(spec, rows, cols)]
+            cells = part if cells is None else cells + part     # (N, J_h, J_w, D)
+        if not maps and count > 1:
+            cells = cells * (1.0 / count)
+        total = _expand(cells, rows, cols)
     for m in maps:
         total += m
-    if count > 1:
+    if maps and count > 1:
         total *= 1.0 / count
     return total
+
+
+def _row_grads(g: np.ndarray, specs) -> list:
+    """The adjoint of _mean_map: each scale's (N*M_s, D) row gradient from
+    g = og * x (N, D, H, W).
+
+    A regional scale gets its cell sums of g (one _scale_sums pass over
+    all of them), a sliding scale g's rows.  With S > 1 scales each is
+    multiplied by 1/S into a new array, so g is never scaled in place and
+    no two scales share an array; a lone scale's are handed over as they are.
+    """
+    count, d = len(specs), g.shape[1]
+    regional = [spec for spec in specs if spec.strategy == "regional"]
+    sums = iter(_scale_sums(g, regional) if regional else ())
+    out = []
+    for spec in specs:
+        rows = next(sums).reshape(-1, d) if spec.strategy == "regional" else _channel_rows(g).T
+        out.append(rows * (1.0 / count) if count > 1 else rows)
+    return out
 
 
 def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     """x * mean_s gate_s as one op, or relu(x * mean_s gate_s + skip) with a skip.
 
     Every scale's gates are (N*M_s, D) rows on x's lattice: a regional
-    scale's broadcast over its cells, a sliding scale's viewed as its map.
-    Backward gives the regional scales the cell sums of og * x / S (one
-    _scale_sums pass) and each sliding scale og * x / S itself, then
-    rebuilds the mean map by adds and gives x og * mean, formed in the
-    mean map's buffer.  A skip is added and the relu taken in the product's
+    scale's broadcast over its cells, a sliding scale's viewed as its map,
+    and _mean_map averages them.  Backward hands og * x to _mean_map's
+    adjoint, _row_grads, for every scale's row gradient, then rebuilds the
+    mean map and gives x og * mean, formed in the mean map's buffer.  A skip is added and the relu taken in the product's
     buffer, so the tape keeps that one map for a residual block's whole
     tail; backward masks og in place by out > 0 first, as
     relu(add(gate(...), skip)) does, and hands the skip og itself.
@@ -518,9 +534,7 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
                              f"({n * spec.vector_count}, {d}) rows, got {v.shape}")
     if skip is not None and skip.shape != x.shape:
         raise ValueError(f"gate: skip {skip.shape} does not match x {x.shape}")
-    cells = [(v, spec) for v, spec in zip(vs, specs) if spec.strategy == "regional"]
-    rows = [v for v, spec in zip(vs, specs) if spec.strategy == "sliding"]
-    mean = _mean_map(cells, rows, len(vs), x.shape)
+    mean = _mean_map([v.data for v in vs], specs, x.shape)
     mean *= x.data
     if skip is not None:
         mean += skip.data
@@ -531,17 +545,10 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
         if skip is not None:
             og *= out.data > 0
         g = np.multiply(og, x.data, out=np.empty_like(x.data))
-        if len(vs) > 1:
-            g *= 1.0 / len(vs)
-        if cells:
-            for (v, _), sums in zip(cells, _scale_sums(g, [spec for _, spec in cells])):
-                _accumulate(v, sums.reshape(v.shape))
-        grows = _channel_rows(g).T if rows else None
-        for i, v in enumerate(rows):
-            # a gradient slot is an array no other slot shares
-            _accumulate(v, grows.copy(order="K") if i else grows)
-        del g, grows
-        gx = _mean_map(cells, rows, len(vs), x.shape)
+        for v, grad in zip(vs, _row_grads(g, specs)):
+            _accumulate(v, grad)
+        del g
+        gx = _mean_map([v.data for v in vs], specs, x.shape)
         gx *= og
         _accumulate(x, gx)
         if skip is not None:

@@ -12,11 +12,10 @@ closure has consumed them, so after backward() only the loss and the
 leaves (parameters, inputs) hold a .grad.  An empty slot is not
 zero-filled to add one array into: _accumulate hands the closure's
 fresh gradient (or og itself, or a view of it) over as the slot, so
-each slot is an array no other slot shares.  relu keeps no mask on the
-tape; its backward reads the mask from its output.  A relu that follows
-a norm or an add runs inside that op (batch_norm and add take relu=True,
-pooling.gate a skip), in the op's own output buffer, so the tape keeps
-no map that only a relu reads.
+each slot is an array no other slot shares.  A relu runs inside the op
+it follows (batch_norm and add take relu=True, pooling.gate a skip), in
+the op's own output buffer, and its backward reads the mask from that
+output, so the tape keeps no mask and no map that only a relu reads.
 
 Feature maps are indexed (N, D, H, W): batch, channels, height, width.
 Vector and matrix shapes appear at the pooling / fully-connected
@@ -181,7 +180,7 @@ def _accumulate(t: Tensor, g) -> None:
 def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """a + b, or with relu=True max(a + b, 0) taken in the sum's buffer, so
     the tape keeps only that one map; backward then masks og in place by
-    out > 0 first, as relu does."""
+    out > 0 first (subgradient 0 at 0; NaN propagates)."""
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
@@ -276,21 +275,6 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); subgradient at 0 is taken as 0, and NaN propagates.
-
-    Backward masks og in place with out > 0, which equals x > 0, so the
-    tape keeps no mask.
-    """
-    out = Tensor(np.maximum(x.data, 0))
-
-    def bwd(og):
-        og *= out.data > 0
-        _accumulate(x, og)
-
-    return _emit("relu", out, bwd)
-
 
 def _logistic(d, out=None):
     """exp(min(d, 0)) / (1 + exp(-|d|)), stable for both signs, into out (which may be d).

@@ -3,7 +3,9 @@
 A dense step used to concatenate its input and its new features into
 fresh storage (concat_channels); the nets now extend one buffer per
 stage with tensor.extend_channels, which must give the same values,
-layout and gradients.
+layout and gradients.  A relu used to be an op of its own (relu); the
+nets now take it inside the op it follows (batch_norm and add with
+relu=True, pooling.gate with a skip), which must give relu's bits.
 
 The rest is the per-scale recalibration path.
 
@@ -67,6 +69,22 @@ def scale(x: Tensor, c: float) -> Tensor:
         _accumulate(x, og * c)
 
     return _emit("scale", out, bwd)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0) as an op of its own; subgradient at 0 is taken as 0, and
+    NaN propagates.
+
+    Backward masks og in place with out > 0, which equals x > 0, so the
+    tape keeps no mask.
+    """
+    out = Tensor(np.maximum(x.data, 0))
+
+    def bwd(og):
+        og *= out.data > 0
+        _accumulate(x, og)
+
+    return _emit("relu", out, bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 _spec = importlib.util.spec_from_file_location(
@@ -104,3 +105,31 @@ def test_metric_without_a_bound_has_no_verdict():
     spec = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
     out = bench_pairs.summarize([(result(5, 2), result(4, 3))], spec)
     assert "verdict" not in out["metrics"]["peak_rss_mb"]
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_trees_are_archived_side_by_side_from_two_revisions(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    commits = []
+    for text in ("parent\n", "change\n"):
+        (repo / "a.txt").write_text(text)
+        _git(repo, "add", "a.txt")
+        _git(repo, "commit", "-q", "-m", text)
+        commits.append(_git(repo, "rev-parse", "HEAD"))
+    (repo / "a.txt").write_text("uncommitted\n")
+    (repo / "b.txt").write_text("untracked\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    trees = bench_pairs.build_trees(str(repo), "HEAD~1", str(out))
+    assert [commit for _, commit in trees.values()] == commits
+    assert trees["parent"][0] == str(out / "parent")
+    assert len(trees["parent"][0]) == len(trees["change"][0])
+    for (tree, _), text in zip(trees.values(), ("parent\n", "change\n")):
+        assert sorted(os.listdir(tree)) == ["a.txt"]
+        assert open(os.path.join(tree, "a.txt")).read() == text

@@ -232,7 +232,7 @@ def test_gradcheck_all_rows_ok(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("operator")
     body = lines[1:]
-    assert len(body) == 22
+    assert len(body) == 21
     assert all(line.endswith("ok") for line in body)
     assert any("conv2d" in line for line in body)
     assert any("multi_scale_recalibration" in line for line in body)

@@ -15,8 +15,8 @@ from msar.pooling import CoordinateSetSpec, project_pool
 from msar.tensor import (BNState, Tape, Tensor, _emit, add, avg_pool2d,
                          backward, batch_norm, conv2d, cross_entropy,
                          extend_channels, global_avg_pool, linear, max_pool2d,
-                         mul, relu, sum_all)
-from oracles import concat_channels, sigmoid
+                         mul, sum_all)
+from oracles import concat_channels, relu, sigmoid
 
 
 def naive_conv2d(x, k, stride, pad):
