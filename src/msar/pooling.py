@@ -520,10 +520,11 @@ def gate(x: Tensor, vs, specs, skip: Tensor | None = None) -> Tensor:
     scale's broadcast over its cells, a sliding scale's viewed as its map,
     and _mean_map averages them.  Backward hands og * x to _mean_map's
     adjoint, _row_grads, for every scale's row gradient, then rebuilds the
-    mean map and gives x og * mean, formed in the mean map's buffer.  A skip is added and the relu taken in the product's
-    buffer, so the tape keeps that one map for a residual block's whole
-    tail; backward masks og in place by out > 0 first, as
-    relu(add(gate(...), skip)) does, and hands the skip og itself.
+    mean map and gives x og * mean, formed in the mean map's buffer.  A
+    skip is added and the relu taken in the product's buffer, so the tape
+    keeps that one map for a residual block's whole tail; backward masks
+    og in place by out > 0 first, as relu(add(gate(...), skip)) does, and
+    hands the skip og itself.
     """
     if not vs or len(vs) != len(specs):
         raise ValueError(f"gate: {len(vs)} vector sets for {len(specs)} specs")

@@ -180,7 +180,7 @@ def _accumulate(t: Tensor, g) -> None:
 def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """a + b, or with relu=True max(a + b, 0) taken in the sum's buffer, so
     the tape keeps only that one map; backward then masks og in place by
-    out > 0 first (subgradient 0 at 0; NaN propagates)."""
+    out > 0 first."""
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
