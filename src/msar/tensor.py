@@ -93,7 +93,6 @@ class Tape:
 
     def __init__(self):
         self._entries = []          # (op name, output tensor, backward fn)
-        self._produced = set()      # ids of tensors this tape created
 
     def __len__(self):
         return len(self._entries)
@@ -108,10 +107,6 @@ class Tape:
 
     def record(self, name, out, backward_fn):
         self._entries.append((name, out, backward_fn))
-        self._produced.add(id(out))
-
-    def produced(self, tensor):
-        return id(tensor) in self._produced
 
 
 _ACTIVE: list[Tape] = []
@@ -143,7 +138,7 @@ def backward(tape, loss):
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not tape.produced(loss):
+    if not any(out is loss for _, out, _ in tape._entries):
         raise ValueError("backward before forward: loss was not produced under this tape")
     loss.grad = np.ones_like(loss.data)
     for _name, out, fn in reversed(tape._entries):

@@ -2,6 +2,9 @@
 
 import inspect
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ import msar.tensor
 from msar.cli import _gradcheck_rows, main
 from msar.config import ExperimentConfig
 from msar.data import write_synthetic
+from msar.tensor import Tape, Tensor
 from msar.training import CURVE_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TOY_LINES = [
     "network.stages = 4:1:2",
@@ -147,6 +153,52 @@ def test_missing_data_path_names_its_key(toy_setup, key, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_is_one_line(toy_setup, monkeypatch, capsys):
+    # an oversized net (say network.stages = 100000:1:1) runs out of memory
+    # in build_network; the command says so in one line and writes nothing
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB for an array")
+
+    monkeypatch.setattr("msar.cli.build_network", exhausted)
+    cfg, out = toy_setup
+    for argv in (["train", str(cfg)], ["eval", str(cfg), str(out / "weights.bin")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_one_blas_thread_training_repeats_bitwise(tmp_path):
+    # criterion 8's config, each run in its own process with one BLAS thread
+    train_bin, test_bin = tmp_path / "train.bin", tmp_path / "test.bin"
+    write_synthetic(str(train_bin), per_class=50, classes=(0, 1), seed=23)
+    write_synthetic(str(test_bin), per_class=10, classes=(0, 1), seed=24)
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("\n".join([
+        "network.stages = 8:1:2,16:1:2",
+        "network.stem_width = 8",
+        "network.classes = 2",
+        "msar.enabled = on",
+        "optimizer.drops =",
+        f"data.train_path = {train_bin}",
+        f"data.test_path = {test_bin}",
+        "run.epochs = 3",
+        "run.batch_size = 20",
+        "run.precision = 64",
+        "run.log_timing = off",
+    ]) + "\n")
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
+    for run in ("a", "b"):
+        proc = subprocess.run([sys.executable, "-m", "msar.cli", "train", str(cfg),
+                               "--out", str(tmp_path / run)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    for artifact in ("curve.csv", "weights.bin"):
+        a = (tmp_path / "a" / artifact).read_bytes()
+        assert a == (tmp_path / "b" / artifact).read_bytes(), artifact
+
+
 def test_class_count_mismatch_diagnostic(tmp_path, capsys):
     train_bin = tmp_path / "t.bin"
     write_synthetic(str(train_bin), per_class=2, classes=(0, 1), seed=1)
@@ -249,6 +301,44 @@ def test_gradcheck_has_a_row_for_every_taped_op():
              and "_emit(" in inspect.getsource(fn)}
     assert {"conv2d", "gate", "regional_pool"} <= taped
     assert taped - rows == set()
+
+
+def _held_tensors(obj, found, seen):
+    """Collect into found every Tensor obj holds through closure cells and
+    default arguments, recursing into nested functions, lists and tuples."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        found[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _held_tensors(item, found, seen)
+    elif inspect.isfunction(obj):
+        held = list(obj.__defaults__ or ()) + list((obj.__kwdefaults__ or {}).values())
+        for cell in obj.__closure__ or ():
+            try:
+                held.append(cell.cell_contents)
+            except ValueError:  # a cell not yet assigned
+                pass
+        for item in held:
+            _held_tensors(item, found, seen)
+
+
+def test_gradcheck_rows_list_exactly_what_their_ops_differentiate():
+    # a tensor an op reads but its row does not list is never perturbed,
+    # and a listed leaf no backward closure holds gets no gradient
+    for name, fn, leaves in _gradcheck_rows(ExperimentConfig(), np.random.default_rng(0)):
+        with Tape() as tape:
+            fn()
+        outputs = {id(out) for _, out, _ in tape._entries}
+        found, seen = {}, set()
+        for _, _, backward_fn in tape._entries:
+            _held_tensors(backward_fn, found, seen)
+        held = {i for i in found if i not in outputs}
+        listed = {id(t) for t in leaves}
+        assert held == listed, (f"{name}: {len(held - listed)} held but not listed, "
+                                f"{len(listed - held)} listed but not held")
 
 
 def test_gradcheck_honors_config_scales(tmp_path, capsys):
